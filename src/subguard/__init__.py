@@ -7,7 +7,6 @@ all of it. The math lives in the canonical frame where the guarded
 hyperplane is ``{z_n = 0}``; :func:`canonicalize` brings any scenario there.
 """
 
-from ._backend import backend_name
 from .config import DEFAULT_TOLS, Tolerances
 from .degree import (
     CASE_BARRIER,

@@ -8,8 +8,9 @@ Five subcommands, all reading one scenario JSON file:
 * ``simulate`` - forward run under equilibrium policies (CSV or JSON)
 * ``verify``   - closed-form results cross-checked against brute-force oracles
 
-Exit codes: 0 on success, 2 on validation errors (malformed scenario or a
-violated assumption, named in the error), 3 on numeric or domain failures.
+Exit codes: 0 on success, 2 on validation errors (malformed scenario, a
+violated assumption or a bad ``--grid-points``, named in the error), 3 on
+numeric or domain failures.
 Errors go to stderr as single-line JSON. Outputs are deterministic: the
 same invocation produces byte-identical bytes.
 """
@@ -27,6 +28,7 @@ from .config import Tolerances
 from .degree import barrier_solution, solution_to_json, solve_dws
 from .errors import (
     AssumptionViolation,
+    EmptyGridError,
     NotInDWSError,
     ScenarioFormatError,
     SubguardError,
@@ -94,7 +96,8 @@ def _cmd_verify(canon, xf, args) -> str:
     tols = _tols(args)
     records = []
     outcome = evaluate_kind(canon, tols)
-    grid = GridSpec(points_per_axis=args.grid_points) if args.grid_points else None
+    grid = (GridSpec(points_per_axis=args.grid_points)
+            if args.grid_points is not None else None)
     probe = oracle_kind(canon, grid)
     agree = "true" if probe.label == outcome.outcome else "false"
     records.append(
@@ -169,7 +172,7 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         canon, xf = canonicalize(scenario)
         text = _COMMANDS[args.command](canon, xf, args)
-    except (AssumptionViolation, ScenarioFormatError) as exc:
+    except (AssumptionViolation, ScenarioFormatError, EmptyGridError) as exc:
         _emit_error(exc)
         return 2
     except OSError as exc:

@@ -80,7 +80,11 @@ class NumericalDegeneracyError(SubguardError):
 
 
 class EmptyGridError(SubguardError):
-    """Sampling grid contains no nodes."""
+    """A sampling or search grid is empty or malformed.
+
+    Raised for node counts, box extents or refinement rounds out of range;
+    like :class:`AssumptionViolation`, it blames the caller's input.
+    """
 
 
 class EmptyIntersectionError(SubguardError):

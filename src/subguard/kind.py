@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
 from ._text import fmt as _fmt
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
@@ -188,38 +187,42 @@ def evaluate_kind(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> KindOu
 # barrier surface evaluation
 # ---------------------------------------------------------------------------
 
-def _surface_params(x_d1, x_d2, alpha: float, tols: Tolerances):
-    """Pack mirrored defender data for the height kernels.
+def _barrier_heights(points, x_d1, x_d2, alpha: float, tols: Tolerances):
+    """Barrier heights and piece codes over the rows of lateral ``points``.
 
-    Returns a tuple matching the backend signature: selection thresholds for
-    the lateral regions plus the per-piece quadric coefficients. In the
-    single-surface case the chosen defender occupies the first slot and the
-    pairwise entries are inert placeholders.
+    Codes index ``_PIECE_BY_CODE`` (0 = Single, 1 = B1, 2 = B2, 3 = B3).
+    Height is NaN where the selected quadric has no positive root (surface
+    absent above that point).
     """
     d1 = _mirrored(_as_vector(x_d1, name="defender 1 position"))
     d2 = _mirrored(_as_vector(x_d2, n=d1.shape[0], name="defender 2 position"))
     alpha = float(alpha)
-    n = d1.shape[0]
     gamma = 1.0 / alpha**2 - 1.0
+    pp = np.sum(points * points, axis=1)
 
-    def k_const(d):
-        return float(d @ d) - alpha**2 * d[-1] ** 2
+    def h2_single(d):
+        k = float(d @ d) - alpha**2 * d[-1] ** 2
+        return (pp - 2.0 * points @ d[:-1] + k) / gamma
 
     if float(np.linalg.norm(d1 - d2)) <= tols.abs:
-        two_active, chosen = False, d1
+        # mirror-symmetric stack collapses to one virtual defender
+        active = ActiveSet(two_active=False, index=1)
     else:
         active = classify_active(d1, d2, tol=tols.abs)
-        if active.two_active:
-            geo12 = pair_geometry(d1, d2, alpha)
-            geo21 = pair_geometry(d2, d1, alpha)
-            return (True, geo12.a.copy(), _region_threshold(geo12, alpha),
-                    _region_threshold(geo21, alpha), d1[:-1].copy(), k_const(d1),
-                    d2[:-1].copy(), k_const(d2), gamma, geo12.zeta1,
-                    geo12.zeta2.copy(), geo12.zeta3.copy(), geo12.zeta4)
-        two_active, chosen = False, (d1 if active.index == 1 else d2)
-    zeros = np.zeros(n - 1)
-    return (two_active, zeros, 0.0, 0.0, chosen[:-1].copy(), k_const(chosen),
-            zeros, 0.0, gamma, 1.0, np.zeros((n - 1, n - 1)), zeros, 0.0)
+    if active.two_active:
+        geo12 = pair_geometry(d1, d2, alpha)
+        geo21 = pair_geometry(d2, d1, alpha)
+        h2_3 = (np.einsum("md,de,me->m", points, geo12.zeta2, points)
+                + 2.0 * points @ geo12.zeta3 + geo12.zeta4) / geo12.zeta1
+        s = points @ geo12.a
+        in1 = s > _region_threshold(geo12, alpha)
+        in2 = -s > _region_threshold(geo21, alpha)
+        codes = np.where(in1, 1, np.where(in2, 2, 3))
+        h2 = np.where(in1, h2_single(d1), np.where(in2, h2_single(d2), h2_3))
+    else:
+        codes = np.zeros(points.shape[0], dtype=np.int64)
+        h2 = h2_single(d1 if active.index == 1 else d2)
+    return np.where(h2 > 0.0, np.sqrt(np.maximum(h2, 0.0)), np.nan), codes
 
 
 def barrier_height(z_lat, x_d1, x_d2, alpha: float,
@@ -232,8 +235,7 @@ def barrier_height(z_lat, x_d1, x_d2, alpha: float,
     defenders win the whole vertical fiber).
     """
     z_lat = np.atleast_1d(np.asarray(z_lat, dtype=float))
-    params = _surface_params(x_d1, x_d2, alpha, tols)
-    heights, _ = _backend.barrier_heights(z_lat[None, :], *params)
+    heights, _ = _barrier_heights(z_lat[None, :], x_d1, x_d2, alpha, tols)
     h = float(heights[0])
     return None if np.isnan(h) else h
 
@@ -271,8 +273,7 @@ def sample_barrier(x_d1, x_d2, alpha: float, lo, hi, counts,
     axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(n - 1)]
     grids = np.meshgrid(*axes, indexing="ij")
     lat = np.stack([g.ravel() for g in grids], axis=1)
-    params = _surface_params(x_d1, x_d2, alpha, tols)
-    heights, codes = _backend.barrier_heights(lat, *params)
+    heights, codes = _barrier_heights(lat, x_d1, x_d2, alpha, tols)
     keep = ~np.isnan(heights)
     pts = np.concatenate([lat[keep], heights[keep, None]], axis=1)
     labels = [_PIECE_BY_CODE[int(c)] for c in codes[keep]]

@@ -10,6 +10,9 @@ Search strategy shared by the grid oracles: a coarse axis-aligned grid over
 a provably sufficient box, repeatedly reshrunk by 0.2 around the incumbent,
 then a short Nelder-Mead polish. Deterministic throughout (fixed seeds,
 fixed budgets), so oracle answers are reproducible bit for bit.
+
+scipy is imported inside the functions that call it, so importing this
+module (and with it the package) does not load scipy.
 """
 
 from __future__ import annotations
@@ -17,14 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import minimize
 
-from . import _backend
 from .config import DEFAULT_TOLS, ORACLE_EVAL_BUDGET, ORACLE_MAX_DIM
 from .errors import (
     BudgetExceededError,
     DimensionCapError,
+    EmptyGridError,
     EmptyIntersectionError,
     NotOnTargetHyperplaneError,
     NoWinningPointError,
@@ -54,17 +55,42 @@ class GridSpec:
 
     def __post_init__(self):
         if self.points_per_axis < 3:
-            raise ValueError("points_per_axis must be >= 3")
+            raise EmptyGridError(
+                f"points_per_axis must be >= 3, got {self.points_per_axis}")
         if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be >= 0")
+            raise EmptyGridError(
+                f"refinement_rounds must be >= 0, got {self.refinement_rounds}")
         if self.half_width is not None and self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+            raise EmptyGridError(f"half_width must be positive, got {self.half_width}")
 
 
 def _check_dim(n: int):
     if n > ORACLE_MAX_DIM:
         raise DimensionCapError(
             f"brute-force oracles support n <= {ORACLE_MAX_DIM}, got n={n}")
+
+
+def _grid_pair_dists(points, defenders, attacker):
+    """Per-point (min distance to either defender, distance to attacker).
+
+    ``points`` are lateral coordinates of candidates on the target
+    hyperplane (height 0); player positions are full vectors.
+    """
+    d = points.shape[1]
+    lat = defenders[:, :d]
+    h2 = defenders[:, d] ** 2
+    diffs = points[:, None, :] - lat[None, :, :]
+    dd = np.sqrt(np.einsum("mkd,mkd->mk", diffs, diffs) + h2[None, :])
+    da = np.sqrt(np.sum((points - attacker[:d]) ** 2, axis=1) + attacker[d] ** 2)
+    return dd.min(axis=1), da
+
+
+def _grid_single_dists(points, defender, attacker):
+    """Per-point (distance to one defender, distance to attacker)."""
+    d = points.shape[1]
+    dd = np.sqrt(np.sum((points - defender[:d]) ** 2, axis=1) + defender[d] ** 2)
+    da = np.sqrt(np.sum((points - attacker[:d]) ** 2, axis=1) + attacker[d] ** 2)
+    return dd, da
 
 
 def _covering_radius(x_a, defenders, alpha: float) -> float:
@@ -86,6 +112,8 @@ def _grid_maximize(batch_fn, dim: int, center, half_width: float, spec: GridSpec
     The incumbent is monotone: each round keeps the best point seen so far,
     and the polish only replaces it on strict improvement.
     """
+    from scipy.optimize import minimize
+
     per_round = spec.points_per_axis ** dim
     if per_round > spec.budget:
         raise BudgetExceededError(
@@ -152,7 +180,7 @@ def oracle_otp_1v1(x_a, x_d, alpha: float, grid: GridSpec | None = None):
         x_a, [x_d], alpha)
 
     def batch(pts):
-        dd, da = _backend.grid_single_dists(pts, x_d, x_a)
+        dd, da = _grid_single_dists(pts, x_d, x_a)
         return dd - da / alpha
 
     lat, val = _grid_maximize(batch, x_a.shape[0] - 1, center, hw, grid)
@@ -186,7 +214,7 @@ def oracle_kind(scenario: Scenario, grid: GridSpec | None = None,
         scenario.x_a, [scenario.x_d1, scenario.x_d2], scenario.alpha)
 
     def batch(pts):
-        min_dd, da = _backend.grid_pair_dists(pts, defenders, scenario.x_a)
+        min_dd, da = _grid_pair_dists(pts, defenders, scenario.x_a)
         return scenario.alpha * min_dd - da
 
     lat, val = _grid_maximize(batch, scenario.n - 1, center, hw, grid)
@@ -217,7 +245,7 @@ def oracle_aws_target(scenario: Scenario, grid: GridSpec | None = None) -> np.nd
         scenario.x_a, [scenario.x_d1, scenario.x_d2], scenario.alpha)
 
     def batch(pts):
-        min_dd, da = _backend.grid_pair_dists(pts, defenders, scenario.x_a)
+        min_dd, da = _grid_pair_dists(pts, defenders, scenario.x_a)
         return min_dd - da / scenario.alpha
 
     lat, val = _grid_maximize(batch, scenario.n - 1, center, hw, grid)
@@ -239,6 +267,8 @@ def _seam_chart(scenario: Scenario):
     ``(c, rho, W)`` with ``W`` an orthonormal basis (columns) of the bisector
     directions, so seam points are ``c + rho * W @ u`` for unit ``u``.
     """
+    from scipy.linalg import null_space
+
     ball1 = apollonius(scenario.x_a, scenario.x_d1, scenario.alpha)
     ball2 = apollonius(scenario.x_a, scenario.x_d2, scenario.alpha)
     gap = float(np.linalg.norm(ball1.theta - ball2.theta))
@@ -297,6 +327,9 @@ def oracle_otp_dws(scenario: Scenario, rounds: int = 5,
     round, then a Nelder-Mead polish. In the plane the seam is just two
     points and both are checked directly.
     """
+    from scipy.linalg import null_space
+    from scipy.optimize import minimize
+
     _require_canonical(scenario)
     _check_dim(scenario.n)
     c, rho, W = _seam_chart(scenario)

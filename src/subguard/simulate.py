@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _backend
 from ._text import fmt as _fmt, jvec as _jvec
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import InvalidPolicyError, ScenarioFormatError
@@ -157,6 +156,92 @@ def _chord_arrival(prev, cur):
     return a0 / (a0 - a1) if a0 > 0.0 else 0.0
 
 
+# Fast path for the built-in policies, on plain arrays.
+#
+# Player order: defender 1, defender 2, attacker. ``mode`` selects the
+# heading rule per player: 0 = run to a fixed point (vec is the target,
+# heading held once within arrive_tol), 1 = fixed heading (vec is unit).
+# Event codes: 0 = timeout, 1 = captured, 2 = arrived. Events are located by
+# chord interpolation inside the step; capture wins a within-step tie.
+
+def _run_linear(pos0, speeds, mode, vec, dt, t_max, eps_capture, arrive_tol):
+    n = pos0.shape[1]
+    pos = pos0.copy()
+    last_u = np.zeros((3, n))
+    eps2 = eps_capture * eps_capture
+    nsteps = int(math.ceil(t_max / dt - 1e-12))
+
+    # capture already at the initial state
+    for k in range(2):
+        c = 0.0
+        for j in range(n):
+            t = pos[k, j] - pos[2, j]
+            c += t * t
+        if c <= eps2:
+            return 1, 0.0, pos, k, 0
+
+    for step in range(nsteps):
+        prev = pos.copy()
+        for p in range(3):
+            if mode[p] == 0:
+                norm = 0.0
+                for j in range(n):
+                    t = vec[p, j] - pos[p, j]
+                    norm += t * t
+                norm = math.sqrt(norm)
+                if norm > arrive_tol:
+                    for j in range(n):
+                        last_u[p, j] = (vec[p, j] - pos[p, j]) / norm
+            else:
+                for j in range(n):
+                    last_u[p, j] = vec[p, j]
+            for j in range(n):
+                pos[p, j] = pos[p, j] + speeds[p] * dt * last_u[p, j]
+
+        # earliest capture over both defenders along the chord
+        s_cap = 2.0
+        by = -1
+        for k in range(2):
+            a = 0.0
+            b = 0.0
+            c = -eps2
+            for j in range(n):
+                d0 = prev[k, j] - prev[2, j]
+                d1 = pos[k, j] - pos[2, j]
+                e = d1 - d0
+                a += e * e
+                b += 2.0 * d0 * e
+                c += d0 * d0
+            s = 2.0
+            if c <= 0.0:
+                s = 0.0
+            elif a > 0.0:
+                disc = b * b - 4.0 * a * c
+                if disc >= 0.0:
+                    root = (-b - math.sqrt(disc)) / (2.0 * a)
+                    if 0.0 <= root <= 1.0:
+                        s = root
+            if s < s_cap:
+                s_cap = s
+                by = k
+
+        # arrival: attacker height crossing zero along the chord
+        s_arr = 2.0
+        a1 = pos[2, n - 1]
+        if a1 <= 0.0:
+            a0 = prev[2, n - 1]
+            s_arr = a0 / (a0 - a1) if a0 > 0.0 else 0.0
+
+        if s_cap <= 1.0 and s_cap <= s_arr:
+            epos = prev + s_cap * (pos - prev)
+            return 1, (step + s_cap) * dt, epos, by, step + 1
+        if s_arr <= 1.0:
+            epos = prev + s_arr * (pos - prev)
+            return 2, (step + s_arr) * dt, epos, -1, step + 1
+
+    return 0, nsteps * dt, pos, -1, nsteps
+
+
 def simulate(scenario: Scenario, policies, dt: float, t_max: float,
              eps_capture: float | None = None, record: bool = True) -> Trajectory:
     """Run the game forward until capture, arrival, or timeout.
@@ -165,7 +250,8 @@ def simulate(scenario: Scenario, policies, dt: float, t_max: float,
     ``eps_capture`` defaults to one defender step, ``speed_d * dt``. With
     ``record=False`` only the initial and terminal samples are kept, and
     runs whose three policies are the built-in point/heading policies take
-    a compiled fast path with identical stepping.
+    a fast path that steps identically on plain arrays, without calling the
+    policies.
     """
     _require_canonical(scenario)
     if dt <= 0.0:
@@ -192,7 +278,7 @@ def simulate(scenario: Scenario, policies, dt: float, t_max: float,
                         for p in policies])
         arrive_tol = max(p.tol for p in policies if isinstance(p, ToPointPolicy)) \
             if any(isinstance(p, ToPointPolicy) for p in policies) else 1e-9
-        code, t_event, epos, by, _ = _backend.run_linear(
+        code, t_event, epos, by, _ = _run_linear(
             pos0, speeds, mode, vec, float(dt), float(t_max), eps_capture,
             float(arrive_tol))
         event = (EVENT_TIMEOUT, EVENT_CAPTURED, EVENT_ARRIVED)[int(code)]
@@ -203,22 +289,16 @@ def simulate(scenario: Scenario, policies, dt: float, t_max: float,
             captured_by=None if by < 0 else int(by) + 1)
 
     nsteps = int(math.ceil(t_max / dt - 1e-12))
-    times = np.empty(nsteps + 2)
-    traj = np.empty((nsteps + 2, 3, n))
     pos = pos0.copy()
-    times[0] = 0.0
-    traj[0] = pos
-    rows = 1
+    # samples grow as the run steps; without record only the endpoints stay
+    times = [0.0]
+    samples = [pos0]
 
     def finish(event, t_event, epos, by):
-        nonlocal rows
-        times[rows] = t_event
-        traj[rows] = epos
-        rows += 1
-        keep = slice(None) if record else [0, rows - 1]
+        times.append(t_event)
+        samples.append(np.array(epos))
         return Trajectory(
-            dt=float(dt), times=times[:rows][keep].copy(),
-            positions=traj[:rows][keep].copy(),
+            dt=float(dt), times=np.array(times), positions=np.stack(samples),
             event=event, t_event=float(t_event),
             event_point=None if event == EVENT_TIMEOUT else np.array(epos[2]),
             captured_by=by)
@@ -226,7 +306,7 @@ def simulate(scenario: Scenario, policies, dt: float, t_max: float,
     # capture can hold at t = 0 (players spawned within eps of each other)
     s0, by0 = _chord_capture(pos, pos, eps_capture)
     if s0 == 0.0:
-        return finish(EVENT_CAPTURED, 0.0, pos.copy(), by0)
+        return finish(EVENT_CAPTURED, 0.0, pos, by0)
 
     for step in range(nsteps):
         t = step * dt
@@ -245,16 +325,15 @@ def simulate(scenario: Scenario, policies, dt: float, t_max: float,
         if s_arr <= 1.0:
             epos = prev + s_arr * (pos - prev)
             return finish(EVENT_ARRIVED, (step + s_arr) * dt, epos, None)
-        times[rows] = (step + 1) * dt
-        traj[rows] = pos
-        rows += 1
+        if record:
+            times.append((step + 1) * dt)
+            samples.append(pos.copy())
 
-    keep = slice(None) if record else [0, rows - 1]
-    return Trajectory(
-        dt=float(dt), times=times[:rows][keep].copy(),
-        positions=traj[:rows][keep].copy(),
-        event=EVENT_TIMEOUT, t_event=float(nsteps * dt), event_point=None,
-        captured_by=None)
+    if record:
+        # the last step's sample is already the terminal one
+        times.pop()
+        samples.pop()
+    return finish(EVENT_TIMEOUT, nsteps * dt, pos, None)
 
 
 @dataclass(frozen=True)

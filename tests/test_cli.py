@@ -1,11 +1,16 @@
 """End-to-end command-line behavior, run in process via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from conftest import REF_ALPHA, REF_D1, REF_D2, REF_XA_AWS, REF_XA_DWS, ref_scenario
+import subguard
 from subguard import solve_dws
 from subguard.cli import main
 
@@ -190,6 +195,14 @@ class TestFailureModes:
             main(["frobnicate", "--scenario", ref_path])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("cmd, points", [("verify", "2"), ("verify", "0"),
+                                             ("barrier", "0")])
+    def test_bad_grid_points_exits_2(self, capsys, ref_path, cmd, points):
+        code, out, err = run_cli(capsys, [cmd, "--scenario", ref_path,
+                                          "--grid-points", points])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "EmptyGridError"
+
 
 class TestOutputPlumbing:
     def test_out_file_matches_stdout(self, capsys, ref_path, tmp_path):
@@ -200,6 +213,31 @@ class TestOutputPlumbing:
         capsys.readouterr()
         assert code2 == 0
         assert target.read_text() == out
+
+    def test_closed_form_commands_leave_scipy_unloaded(self, ref_path):
+        # scipy serves only the oracles; the closed-form commands must not
+        # pay its import time
+        code = textwrap.dedent(f"""
+            import contextlib, io, sys
+            import subguard
+            from subguard.cli import main
+
+            def scipy_loaded():
+                return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+            loaded = [scipy_loaded()]
+            for cmd in ("classify", "solve", "barrier"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main([cmd, "--scenario", {ref_path!r},
+                                 "--grid-points", "5"]) == 0
+                loaded.append(scipy_loaded())
+            print(loaded)
+            """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(subguard.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src),
+                              check=True)
+        assert proc.stdout.strip() == "[False, False, False, False]"
 
     def test_deterministic_bytes(self, capsys, ref_path):
         _, first, _ = run_cli(capsys, ["verify", "--scenario", ref_path,

@@ -7,6 +7,7 @@ from conftest import canonical_scenario, rand_two_effective, ref_scenario
 from subguard import (
     BudgetExceededError,
     DimensionCapError,
+    EmptyGridError,
     EmptyIntersectionError,
     NotOnTargetHyperplaneError,
     NoWinningPointError,
@@ -109,11 +110,11 @@ class TestOracleKind:
         assert probe.label in ("defenders_win", "attacker_wins", "inconclusive")
 
     def test_grid_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyGridError):
             GridSpec(points_per_axis=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyGridError):
             GridSpec(refinement_rounds=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyGridError):
             GridSpec(half_width=0.0)
 
 

@@ -56,6 +56,8 @@ class TestEvents:
         assert traj.event_point is None
         assert traj.capture_height is None
         assert traj.t_event == pytest.approx(0.05, abs=1e-12)
+        # the start and one sample per step, the last step's not repeated
+        assert traj.times.shape == (51,) and traj.positions.shape == (51, 3, 3)
 
     def test_initial_capture(self):
         s = canonical_scenario(2, (0.4, 1.0), (5.0, 1.0), (0.0, 1.0), 0.5)
@@ -64,6 +66,17 @@ class TestEvents:
         assert traj.event == EVENT_CAPTURED
         assert traj.t_event == 0.0
         assert traj.captured_by == 1
+
+    def test_initial_capture_with_tiny_step(self):
+        # 2e13 steps of horizon: samples must not be allocated up front
+        s = canonical_scenario(2, (0.4, 1.0), (5.0, 1.0), (0.0, 1.0), 0.5)
+        for record in (True, False):
+            traj = simulate(s, (to_point_policy((0.0, 0.0)),) * 3, dt=1e-12,
+                            t_max=20.0, eps_capture=0.5, record=record)
+            assert traj.event == EVENT_CAPTURED
+            assert traj.t_event == 0.0
+            assert traj.captured_by == 1
+            assert traj.positions.shape == (2, 3, 2)
 
     def test_capture_beats_arrival_in_a_tie(self):
         # defender parks on the breach point; the capture radius is reached
@@ -160,17 +173,33 @@ class TestStepping:
         np.testing.assert_allclose(traj.positions[1, 2], expect, atol=1e-12)
 
     def test_fast_path_matches_python_path(self, ref_dws):
-        bundle = optimal_policies(ref_dws)
-        fast = simulate(ref_dws, bundle.triple, dt=1e-3, t_max=10.0, record=False)
-        slow = simulate(ref_dws, optimal_policies(ref_dws).triple, dt=1e-3,
-                        t_max=10.0, record=True)
-        assert fast.event == slow.event
-        assert fast.captured_by == slow.captured_by
-        assert fast.t_event == pytest.approx(slow.t_event, abs=1e-12)
-        np.testing.assert_allclose(fast.event_point, slow.event_point, atol=1e-12)
-        # record=False keeps exactly the endpoints
-        assert fast.positions.shape[0] == 2
-        np.testing.assert_allclose(fast.positions[-1], slow.positions[-1], atol=1e-12)
+        # one run per event: point policies to capture, fixed headings to
+        # arrival and to timeout; fresh policies per run (ToPointPolicy
+        # keeps its last heading)
+        flat = canonical_scenario(2, (9.0, 1.0), (-9.0, 1.0), (0.0, 1.0), 0.5)
+
+        def headings():
+            return (fixed_heading_policy((1.0, 0.0)), fixed_heading_policy((-1.0, 0.0)),
+                    fixed_heading_policy((0.0, -1.0)))
+
+        runs = ((ref_dws, lambda: optimal_policies(ref_dws).triple, 10.0, EVENT_CAPTURED),
+                (flat, headings, 5.0, EVENT_ARRIVED),
+                (flat, headings, 0.01, EVENT_TIMEOUT))
+        for scenario, policies, t_max, event in runs:
+            fast = simulate(scenario, policies(), dt=1e-3, t_max=t_max, record=False)
+            slow = simulate(scenario, policies(), dt=1e-3, t_max=t_max, record=True)
+            assert fast.event == slow.event == event
+            assert fast.captured_by == slow.captured_by
+            assert fast.t_event == pytest.approx(slow.t_event, abs=1e-12)
+            if event == EVENT_TIMEOUT:
+                assert fast.event_point is None and slow.event_point is None
+            else:
+                np.testing.assert_allclose(fast.event_point, slow.event_point,
+                                           atol=1e-12)
+            # record=False keeps exactly the endpoints
+            assert fast.positions.shape[0] == 2
+            np.testing.assert_allclose(fast.positions[-1], slow.positions[-1],
+                                       atol=1e-12)
 
     def test_record_false_python_path_keeps_endpoints(self, ref_dws):
         # a non-builtin policy forces the python stepper even with record off
