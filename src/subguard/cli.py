@@ -9,8 +9,8 @@ Five subcommands, all reading one scenario JSON file:
 * ``verify``   - closed-form results cross-checked against brute-force oracles
 
 Exit codes: 0 on success, 2 on validation errors (malformed scenario, a
-violated assumption or a bad ``--grid-points``, named in the error), 3 on
-numeric or domain failures.
+violated assumption or a bad or over-budget ``--grid-points``, named in the
+error), 3 on numeric or domain failures.
 Errors go to stderr as single-line JSON. Outputs are deterministic: the
 same invocation produces byte-identical bytes.
 """
@@ -28,6 +28,7 @@ from .config import Tolerances
 from .degree import barrier_solution, solution_to_json, solve_dws
 from .errors import (
     AssumptionViolation,
+    BudgetExceededError,
     EmptyGridError,
     NotInDWSError,
     ScenarioFormatError,
@@ -172,7 +173,8 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         canon, xf = canonicalize(scenario)
         text = _COMMANDS[args.command](canon, xf, args)
-    except (AssumptionViolation, ScenarioFormatError, EmptyGridError) as exc:
+    except (AssumptionViolation, ScenarioFormatError, EmptyGridError,
+            BudgetExceededError) as exc:
         _emit_error(exc)
         return 2
     except OSError as exc:

@@ -21,14 +21,10 @@ class Tolerances:
     abs:
         Absolute tolerance for quantities expected to be exactly zero
         (lateral coincidence, height differences, heading norms).
-    cond_cap:
-        Condition-number ceiling for the small SPD solves in the optimal
-        target-point construction; beyond it the result is not trusted.
     """
 
     rel: float = 1e-9
     abs: float = 1e-12
-    cond_cap: float = 1e12
 
 
 DEFAULT_TOLS = Tolerances()
@@ -36,3 +32,6 @@ DEFAULT_TOLS = Tolerances()
 # Brute-force oracle limits: per-round grid evaluations and search dimension.
 ORACLE_EVAL_BUDGET = 21 ** 4
 ORACLE_MAX_DIM = 6
+
+# Barrier sampling limit: lateral grid nodes per mesh (101 per axis at n = 4).
+BARRIER_NODE_BUDGET = 101 ** 3

@@ -8,9 +8,10 @@ height above the target hyperplane is that point's height.
 The target point is the lowest point of the intersection of the attacker's
 two dominance balls. Depending on the configuration the minimum sits either
 at the bottom of one ball (only that defender matters) or on the seam where
-both spheres meet; the seam minimizer has closed forms split by whether the
-defenders share a height. Degenerate states exactly on the barrier get
-their own construction with the target on the hyperplane itself.
+both spheres meet. One plane cut gives every seam point: the seam is one
+defender's sphere cut by the defenders' bisector plane, a circle whose
+lowest point is explicit, and on the barrier the same plane's trace on the
+hyperplane gives the target.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .geometry import (
     _as_vector,
     _require_canonical,
     apollonius,
-    pair_geometry,
 )
 from .kind import (
     DEFENDERS_WIN,
@@ -68,7 +68,8 @@ def effective_defenders(scenario: Scenario,
     lies strictly inside the other's ball (the intersection's lowest point
     is then that bottom, and only that defender's sphere is active there).
     Otherwise both defenders matter and the minimizer sits on the seam;
-    the two-defender case splits on the defenders' height difference.
+    the two-defender case is labeled by the paper's split on the defenders'
+    height difference, though one construction serves both labels.
     Bottoms exactly on the other sphere count as two-effective.
 
     Requires a defender-winning state.
@@ -115,49 +116,37 @@ def _heading_or_none(frm, to) -> np.ndarray | None:
         return None
 
 
-def _seam_minimizer_tilted(a, m, w, ball, tols: Tolerances) -> np.ndarray:
-    """Lowest seam point when the first-listed defender sits higher (m > 0).
+def _bisector(scenario: Scenario) -> tuple[np.ndarray, float]:
+    """The defenders' bisector plane ``nu . z = w``: the points equidistant
+    from both, so a point of one dominance sphere on it lies on both."""
+    nu = scenario.x_d1 - scenario.x_d2
+    w = 0.5 * (float(scenario.x_d1 @ scenario.x_d1) - float(scenario.x_d2 @ scenario.x_d2))
+    return nu, w
 
-    Solves the equal-distance constraint ``m z_n + a . z_lat = w`` against
-    the sphere of the first defender's ball via its stationarity system:
-    ``R1 = a a^T + m^2 I`` (positive definite for m != 0) carries the
-    lateral solve, and the sign of the square root picks the lower of the
-    two stationary points.
+
+def _seam_bottom(scenario: Scenario, tols: Tolerances) -> np.ndarray:
+    """Lowest point of the seam where the two dominance spheres meet.
+
+    The seam is defender 1's sphere cut by the bisector plane: a circle
+    centered at the sphere center's projection onto the plane, with radius
+    ``rho``. Its lowest point is ``rho`` below the center along ``d``, the
+    vertical axis projected into the plane. ``d`` is formed as
+    ``||nu||^2 e_n - nu_n nu``, the projection scaled by ``||nu||^2``, so
+    its height ``||nu_lat||^2`` carries no cancellation.
     """
-    d = a.shape[0]
-    theta, delta = ball.theta, ball.delta
-    r1 = np.outer(a, a) + m**2 * np.eye(d)
-    if np.linalg.cond(r1) > tols.cond_cap:
-        raise NumericalDegeneracyError(
-            f"seam system condition {np.linalg.cond(r1):.3g} beyond cap")
-    r2 = (theta[-1] * m - w) * a - m**2 * theta[:-1]
-    r3 = w**2 - 2.0 * theta[-1] * w * m + m**2 * (float(theta @ theta) - delta**2)
-    sol_a = np.linalg.solve(r1, a)
-    sol_r2 = np.linalg.solve(r1, r2)
-    num = float(r2 @ sol_r2) - r3
-    den = float(a @ sol_a)
-    scale = 1.0 + abs(r3)
-    if num < -tols.rel * scale:
-        raise NumericalDegeneracyError(f"seam radicand {num} is negative")
-    s = float(np.sqrt(max(num, 0.0) / den))
-    p_lat = s * sol_a - sol_r2
-    p_n = (w - float(a @ p_lat)) / m
-    return np.append(p_lat, p_n)
-
-
-def _seam_minimizer_level(geo, ball, tols: Tolerances) -> np.ndarray:
-    """Lowest seam point for height-matched defenders (m = 0).
-
-    The bisector is then vertical, fixing the lateral coordinates outright;
-    the height drops out of the sphere equation.
-    """
-    aa = float(geo.a @ geo.a)
-    p_lat = (geo.a * geo.w + geo.c @ ball.theta[:-1]) / aa
-    rad = ball.delta**2 - float(np.sum((p_lat - ball.theta[:-1]) ** 2))
-    if rad < -tols.rel * (1.0 + ball.delta**2):
-        raise NumericalDegeneracyError(f"level-seam radicand {rad} is negative")
-    p_n = ball.theta[-1] - float(np.sqrt(max(rad, 0.0)))
-    return np.append(p_lat, p_n)
+    ball = apollonius(scenario.x_a, scenario.x_d1, scenario.alpha)
+    nu, w = _bisector(scenario)
+    nn = float(nu @ nu)
+    s = (float(nu @ ball.theta) - w) / nn
+    center = ball.theta - s * nu
+    rho2 = ball.delta**2 - s**2 * nn
+    if rho2 < -tols.rel * (1.0 + ball.delta**2):
+        raise NumericalDegeneracyError(f"seam radius squared {rho2:.3g} is negative")
+    lat2 = float(nu[:-1] @ nu[:-1])
+    if lat2 == 0.0:
+        raise NumericalDegeneracyError("defenders' bisector plane is horizontal")
+    d = np.append(-nu[-1] * nu[:-1], lat2) / np.sqrt(lat2 * nn)
+    return center - np.sqrt(max(rho2, 0.0)) * d
 
 
 def solve_dws(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> DegreeSolution:
@@ -175,19 +164,8 @@ def solve_dws(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> DegreeSolu
         ball = apollonius(scenario.x_a, scenario.x_d1 if i == 1 else scenario.x_d2,
                           scenario.alpha)
         otp = ball.bottom()
-    elif case == CASE_TWO_M_ZERO:
-        geo = pair_geometry(scenario.x_d1, scenario.x_d2, scenario.alpha)
-        ball = apollonius(scenario.x_a, scenario.x_d1, scenario.alpha)
-        otp = _seam_minimizer_level(geo, ball, tols)
     else:
-        m12 = float(scenario.x_d1[-1] - scenario.x_d2[-1])
-        if m12 > 0.0:
-            geo = pair_geometry(scenario.x_d1, scenario.x_d2, scenario.alpha)
-            ball = apollonius(scenario.x_a, scenario.x_d1, scenario.alpha)
-        else:
-            geo = pair_geometry(scenario.x_d2, scenario.x_d1, scenario.alpha)
-            ball = apollonius(scenario.x_a, scenario.x_d2, scenario.alpha)
-        otp = _seam_minimizer_tilted(geo.a, abs(m12), geo.w, ball, tols)
+        otp = _seam_bottom(scenario, tols)
     return DegreeSolution(
         case=case, effective=effective, otp=otp, value=float(otp[-1]),
         d1=_heading_or_none(scenario.x_d1, otp),
@@ -210,10 +188,12 @@ def otp_on_barrier(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> np.nd
             f"state classifies as {outcome.outcome}, not on the barrier")
     piece, _, owner, _ = _governing_piece(scenario, tols)
     if piece == PIECE_B3:
-        geo = pair_geometry(scenario.x_d1, scenario.x_d2, scenario.alpha)
+        # the seam's trace on the hyperplane: the sphere center's lateral
+        # foot projected onto the bisector line a . z_lat = w
         ball1 = apollonius(scenario.x_a, scenario.x_d1, scenario.alpha)
-        aa = float(geo.a @ geo.a)
-        p_lat = (geo.c @ ball1.theta[:-1] + geo.a * geo.w) / aa
+        nu, w = _bisector(scenario)
+        a, theta_lat = nu[:-1], ball1.theta[:-1]
+        p_lat = theta_lat + ((w - float(a @ theta_lat)) / float(a @ a)) * a
     else:
         x_d = scenario.x_d1 if owner == 1 else scenario.x_d2
         ball = apollonius(scenario.x_a, x_d, scenario.alpha)

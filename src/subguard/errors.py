@@ -76,7 +76,7 @@ class NotCanonicalError(SubguardError):
 
 
 class NumericalDegeneracyError(SubguardError):
-    """A linear solve or root extraction lost too much precision to trust."""
+    """A root extraction or projection lost too much precision to trust."""
 
 
 class EmptyGridError(SubguardError):
@@ -96,7 +96,10 @@ class NoWinningPointError(SubguardError):
 
 
 class BudgetExceededError(SubguardError):
-    """Grid search would exceed the configured evaluation budget."""
+    """A grid search or mesh would exceed its configured node budget.
+
+    Like :class:`EmptyGridError`, it blames the caller's grid size.
+    """
 
 
 class DimensionCapError(SubguardError):

@@ -219,6 +219,10 @@ def canonicalize(scenario: Scenario) -> tuple[Scenario, CanonicalTransform]:
     e_n = np.zeros(n)
     e_n[-1] = 1.0
     v = k_hat - e_n
+    if k_hat[-1] > 0.0:
+        # k_hat[-1] - 1 cancels when the normal is nearly e_n; the equal
+        # form -||k_lat||^2 / (1 + k_hat[-1]) keeps the tilt it encodes
+        v[-1] = -float(k_hat[:-1] @ k_hat[:-1]) / (1.0 + k_hat[-1])
     vnorm2 = float(v @ v)
     if np.sqrt(vnorm2) <= 1e-12:
         Q = np.eye(n)

@@ -19,14 +19,16 @@ All functions here require the canonical frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._text import fmt as _fmt
-from .config import DEFAULT_TOLS, Tolerances
+from .config import BARRIER_NODE_BUDGET, DEFAULT_TOLS, Tolerances
 from .errors import (
     AttackerNotInPlayError,
+    BudgetExceededError,
     CoincidentDefendersError,
     DegeneratePairError,
     EmptyGridError,
@@ -257,9 +259,9 @@ def sample_barrier(x_d1, x_d2, alpha: float, lo, hi, counts,
     """Sample the barrier over an axis-aligned lateral box.
 
     ``lo``/``hi`` bound each lateral axis and ``counts`` gives nodes per
-    axis (1 collapses an axis to its ``lo`` value). Lateral nodes where the
-    surface is absent are dropped, so the mesh can be empty even for a
-    nonempty grid.
+    axis (1 collapses an axis to its ``lo`` value); the grid may hold at
+    most ``BARRIER_NODE_BUDGET`` nodes. Lateral nodes where the surface is
+    absent are dropped, so the mesh can be empty even for a nonempty grid.
     """
     d1 = _as_vector(x_d1, name="defender 1 position")
     n = d1.shape[0]
@@ -270,6 +272,10 @@ def sample_barrier(x_d1, x_d2, alpha: float, lo, hi, counts,
         raise EmptyGridError(f"grid counts must all be >= 1, got {counts.tolist()}")
     if np.any(hi < lo):
         raise EmptyGridError("grid has hi < lo on some axis")
+    if math.prod(counts.tolist()) > BARRIER_NODE_BUDGET:
+        raise BudgetExceededError(
+            f"grid counts {counts.tolist()} exceed the budget of "
+            f"{BARRIER_NODE_BUDGET} nodes")
     axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(n - 1)]
     grids = np.meshgrid(*axes, indexing="ij")
     lat = np.stack([g.ravel() for g in grids], axis=1)

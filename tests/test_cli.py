@@ -158,6 +158,19 @@ class TestVerify:
         assert {r["instance"] for r in records} == {"kind", "degree_value"}
         assert all(r["agree"] is True for r in records)
 
+    @pytest.mark.parametrize("m12", [1e-8, 3e-6])
+    def test_nearly_level_defenders_solve_and_agree(self, capsys, write_doc, m12):
+        # defenders whose heights differ by a hair still have a seam point
+        path = write_doc(scenario_doc(d1=(-1.5, 0.0, 1.5), d2=(1.5, 0.0, 1.5 + m12)))
+        code, out, err = run_cli(capsys, ["solve", "--scenario", path])
+        assert code == 0 and err == ""
+        assert json.loads(out)["effective"] == [1, 2]
+        code, out, err = run_cli(capsys, ["verify", "--scenario", path])
+        assert code == 0 and err == ""
+        records = json.loads(out)
+        assert [r["instance"] for r in records] == ["kind", "degree_value"]
+        assert all(r["agree"] is True for r in records)
+
     def test_aws_verifies_kind_only(self, capsys, write_doc):
         path = write_doc(scenario_doc(x_a=REF_XA_AWS))
         code, out, _ = run_cli(capsys, ["verify", "--scenario", path,
@@ -195,13 +208,22 @@ class TestFailureModes:
             main(["frobnicate", "--scenario", ref_path])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("cmd, points", [("verify", "2"), ("verify", "0"),
-                                             ("barrier", "0")])
-    def test_bad_grid_points_exits_2(self, capsys, ref_path, cmd, points):
-        code, out, err = run_cli(capsys, [cmd, "--scenario", ref_path,
+    @pytest.mark.parametrize("cmd, points, n, error", [
+        pytest.param("verify", "2", 3, "EmptyGridError", id="verify-2"),
+        pytest.param("verify", "0", 3, "EmptyGridError", id="verify-0"),
+        pytest.param("barrier", "0", 3, "EmptyGridError", id="barrier-0"),
+        pytest.param("verify", "500", 3, "BudgetExceededError", id="verify-500"),
+        pytest.param("barrier", "100000", 5, "BudgetExceededError",
+                     id="barrier-100000-n5"),
+    ])
+    def test_bad_grid_points_exits_2(self, capsys, write_doc, cmd, points, n, error):
+        pad = (0.0,) * (n - 3)
+        path = write_doc(scenario_doc(n=n, x_a=pad + REF_XA_DWS, d1=pad + REF_D1,
+                                      d2=pad + REF_D2))
+        code, out, err = run_cli(capsys, [cmd, "--scenario", path,
                                           "--grid-points", points])
         assert code == 2 and out == ""
-        assert json.loads(err)["error"] == "EmptyGridError"
+        assert json.loads(err)["error"] == error
 
 
 class TestOutputPlumbing:

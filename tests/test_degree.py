@@ -23,6 +23,7 @@ from subguard import (
     barrier_solution,
     canonicalize,
     effective_defenders,
+    evaluate_kind,
     heading,
     otp_on_barrier,
     payoff_capture_height,
@@ -30,7 +31,7 @@ from subguard import (
     solution_to_json,
     solve_dws,
 )
-from subguard.oracle import f_value
+from subguard.oracle import f_value, oracle_min_boundary_height
 
 # closed-form value of the reference defender-winning instance
 REF_VALUE = (13.0 - 2.0 * np.sqrt(10.0)) / 6.0
@@ -158,6 +159,23 @@ class TestSolveDWS:
     def test_rejects_attacker_winning_state(self, ref_aws):
         with pytest.raises(NotInDWSError):
             solve_dws(ref_aws)
+
+    @pytest.mark.parametrize("m12", [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1])
+    def test_seam_value_across_height_gaps(self, m12):
+        # defenders whose heights nearly match: the seam point must neither
+        # raise nor drift, and must not care which defender is listed first
+        d1, d2, x_a = (-1.5, 0.0, 1.5), (1.5, 0.0, 1.5 + m12), (0.0, 0.0, 2.0)
+        s = canonical_scenario(3, d1, d2, x_a, 0.5)
+        assert evaluate_kind(s).outcome == "defenders_win"
+        sol = solve_dws(s)
+        assert sol.effective == (1, 2)
+        assert sol.case == (CASE_TWO_M_ZERO if m12 <= 1e-12 else CASE_TWO_M_NONZERO)
+        _, floor = oracle_min_boundary_height(s)
+        assert abs(sol.value - floor) <= 1e-6
+        players = np.array([d1, d2, x_a])
+        scale = max(np.linalg.norm(p - q) for p in players for q in players)
+        swapped = solve_dws(canonical_scenario(3, d2, d1, x_a, 0.5))
+        assert abs(swapped.value - sol.value) <= 1e-12 * scale
 
 
 class TestBarrierDegree:

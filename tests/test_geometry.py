@@ -124,6 +124,15 @@ class TestCanonicalize:
         cb, _ = canonicalize(b)
         np.testing.assert_allclose(ca.x_a, cb.x_a, atol=1e-12)
 
+    def test_nearly_vertical_normal_keeps_its_tilt(self):
+        # k_hat[-1] rounds to 1.0 here; the tilt must still reach the frame
+        s = Scenario(n=2, hyperplane=Hyperplane(K=[5.96046448e-08, 3.0], b=0.0),
+                     x_d1=(0.0, 0.5), x_d2=(0.0, 0.9), x_a=(-1.0, 1.3), alpha=0.5)
+        canon, xf = canonicalize(s)
+        k_hat = s.hyperplane.K / np.linalg.norm(s.hyperplane.K)
+        np.testing.assert_allclose(xf.dir_to_canonical(k_hat), [0.0, 1.0], atol=1e-15)
+        assert canon.x_a[-1] == pytest.approx(float(k_hat @ s.x_a), abs=1e-15)
+
     def test_require_canonical_guard(self):
         s = Scenario(n=2, hyperplane=Hyperplane(K=[1.0, 0.0], b=1.0),
                      x_d1=(2.0, 5.0), x_d2=(3.0, -1.0), x_a=(4.0, 0.0), alpha=0.5)

@@ -20,6 +20,7 @@ from subguard import (
     DEFENDERS_WIN,
     ON_BARRIER,
     AttackerNotInPlayError,
+    BudgetExceededError,
     CoincidentDefendersError,
     DegeneratePairError,
     EmptyGridError,
@@ -33,6 +34,7 @@ from subguard import (
     region_label,
     sample_barrier,
 )
+from subguard import kind as kind_module
 from subguard.kind import (
     PIECE_B1,
     PIECE_B2,
@@ -286,6 +288,22 @@ class TestSampleBarrier:
             sample_barrier(REF_D1, REF_D2, REF_ALPHA, lo=0.0, hi=1.0, counts=0)
         with pytest.raises(EmptyGridError):
             sample_barrier(REF_D1, REF_D2, REF_ALPHA, lo=1.0, hi=0.0, counts=5)
+
+    def test_node_budget_checked_before_allocation(self, monkeypatch):
+        # 1e5 nodes per axis at n = 5 would be 1e20 nodes; the budget check
+        # must fire before any axis is built
+        d1, d2 = (-1.5, 0.0, 0.0, 0.0, -1.0), (1.5, 0.0, 0.0, 0.0, 1.5)
+        with pytest.raises(BudgetExceededError, match="budget"):
+            sample_barrier(d1, d2, REF_ALPHA, lo=-1.0, hi=1.0, counts=100_000)
+        # the default 101 nodes per axis exceed it at n = 5
+        with pytest.raises(BudgetExceededError):
+            sample_barrier(d1, d2, REF_ALPHA, lo=-1.0, hi=1.0, counts=101)
+        # a grid of exactly the budget is sampled
+        monkeypatch.setattr(kind_module, "BARRIER_NODE_BUDGET", 77)
+        mesh = sample_barrier(REF_D1, REF_D2, REF_ALPHA, lo=-1.0, hi=1.0, counts=(11, 7))
+        assert mesh.points.shape[0] == 77
+        with pytest.raises(BudgetExceededError):
+            sample_barrier(REF_D1, REF_D2, REF_ALPHA, lo=-1.0, hi=1.0, counts=(11, 8))
 
     def test_heights_always_present(self):
         # one defender always leaves a surface over every lateral point, and
