@@ -8,9 +8,10 @@ Five subcommands, all reading one scenario JSON file:
 * ``simulate`` - forward run under equilibrium policies (CSV or JSON)
 * ``verify``   - closed-form results cross-checked against brute-force oracles
 
-Exit codes: 0 on success, 2 on validation errors (malformed scenario, a
-violated assumption or a bad or over-budget ``--grid-points``, named in the
-error), 3 on numeric or domain failures.
+Exit codes: 0 on success, 2 on validation errors (malformed scenario or
+step, a violated assumption, a bad or over-budget ``--grid-points`` or a
+simulation over its step budget, named in the error), 3 on numeric or
+domain failures.
 Errors go to stderr as single-line JSON. Outputs are deterministic: the
 same invocation produces byte-identical bytes.
 """

@@ -35,3 +35,7 @@ ORACLE_MAX_DIM = 6
 
 # Barrier sampling limit: lateral grid nodes per mesh (101 per axis at n = 4).
 BARRIER_NODE_BUDGET = 101 ** 3
+
+# Stepped simulation limit: forward-Euler steps per run (callable policies or
+# recorded trajectories; the exact straight-line path needs no steps).
+SIMULATE_STEP_BUDGET = 10 ** 6

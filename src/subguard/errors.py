@@ -96,9 +96,10 @@ class NoWinningPointError(SubguardError):
 
 
 class BudgetExceededError(SubguardError):
-    """A grid search or mesh would exceed its configured node budget.
+    """A grid search, mesh or stepped simulation would exceed its budget.
 
-    Like :class:`EmptyGridError`, it blames the caller's grid size.
+    Like :class:`EmptyGridError`, it blames the caller's input: the grid
+    size, or a step ``dt`` too small for the run.
     """
 
 

@@ -44,7 +44,9 @@ class GridSpec:
     box; None lets each oracle derive a covering box from the scenario.
     Each refinement round recenters on the incumbent and shrinks the
     half-width by 0.2. ``points_per_axis ** dim`` evaluations are spent per
-    round and must stay within ``budget``.
+    round and must stay within ``budget``. An oracle called without a grid
+    uses this default with ``points_per_axis`` lowered, if need be, to the
+    largest count whose round fits the budget: 21 up to n = 5, 11 at n = 6.
     """
 
     center: np.ndarray | None = None
@@ -62,6 +64,16 @@ class GridSpec:
                 f"refinement_rounds must be >= 0, got {self.refinement_rounds}")
         if self.half_width is not None and self.half_width <= 0:
             raise EmptyGridError(f"half_width must be positive, got {self.half_width}")
+
+
+def _default_grid(dim: int) -> GridSpec:
+    """The default GridSpec with the most points per axis (at most its 21)
+    whose ``dim``-dimensional round fits its budget."""
+    spec = GridSpec()
+    k = spec.points_per_axis
+    while k ** dim > spec.budget:
+        k -= 1
+    return GridSpec(points_per_axis=k)
 
 
 def _check_dim(n: int):
@@ -174,7 +186,7 @@ def oracle_otp_1v1(x_a, x_d, alpha: float, grid: GridSpec | None = None):
     x_a = _as_vector(x_a, name="attacker position")
     x_d = _as_vector(x_d, n=x_a.shape[0], name="defender position")
     _check_dim(x_a.shape[0])
-    grid = grid or GridSpec()
+    grid = grid or _default_grid(x_a.shape[0] - 1)
     center = grid.center if grid.center is not None else x_a[:-1]
     hw = grid.half_width if grid.half_width is not None else _covering_radius(
         x_a, [x_d], alpha)
@@ -207,7 +219,7 @@ def oracle_kind(scenario: Scenario, grid: GridSpec | None = None,
     """
     _require_canonical(scenario)
     _check_dim(scenario.n)
-    grid = grid or GridSpec()
+    grid = grid or _default_grid(scenario.n - 1)
     defenders = np.stack([scenario.x_d1, scenario.x_d2])
     center = grid.center if grid.center is not None else scenario.x_a[:-1]
     hw = grid.half_width if grid.half_width is not None else _covering_radius(
@@ -238,7 +250,7 @@ def oracle_aws_target(scenario: Scenario, grid: GridSpec | None = None) -> np.nd
     """
     _require_canonical(scenario)
     _check_dim(scenario.n)
-    grid = grid or GridSpec()
+    grid = grid or _default_grid(scenario.n - 1)
     defenders = np.stack([scenario.x_d1, scenario.x_d2])
     center = grid.center if grid.center is not None else scenario.x_a[:-1]
     hw = grid.half_width if grid.half_width is not None else _covering_radius(

@@ -1,11 +1,21 @@
 """Forward simulation of the guarding game under feedback policies.
 
-Simple motion, forward Euler: each step every player moves ``speed * dt``
-along the unit heading its policy returns. Events are located inside the
-step by chord interpolation (positions move linearly between samples, so
-capture and arrival times solve exactly there): capture when a defender
-closes within ``eps_capture`` of the attacker, arrival when the attacker's
-height crosses zero. Capture is checked first and wins within-step ties.
+Capture is a defender closing within ``eps_capture`` of the attacker;
+arrival is the attacker's height reaching zero. Capture wins ties.
+
+Two ways to run, chosen by ``simulate``:
+
+* Exact, continuous time: ``record=False`` with the built-in
+  :class:`ToPointPolicy` and :class:`FixedHeadingPolicy` for all three
+  players. Every player moves in a straight line at constant speed and a
+  run-to-point player stops on its target, so positions are piecewise
+  linear in time and each event time is a closed-form root. This is the
+  saddle-point play of the paper, at a cost that does not depend on ``dt``.
+* Forward Euler: callable policies, or ``record=True``. Each step every
+  player moves ``speed * dt`` along the unit heading its policy returns.
+  Events are located inside the step by chord interpolation (positions
+  move linearly between samples, so capture and arrival times solve
+  exactly there).
 
 Policies are callables ``policy(state, own) -> unit heading`` where
 ``state`` carries the time and all three positions and ``own`` is the
@@ -23,8 +33,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._text import fmt as _fmt, jvec as _jvec
-from .config import DEFAULT_TOLS, Tolerances
-from .errors import InvalidPolicyError, ScenarioFormatError
+from .config import DEFAULT_TOLS, SIMULATE_STEP_BUDGET, Tolerances
+from .errors import BudgetExceededError, InvalidPolicyError, ScenarioFormatError
 from .geometry import Scenario, _as_vector, _require_canonical
 from .kind import ATTACKER_WINS, DEFENDERS_WIN, evaluate_kind
 
@@ -46,11 +56,14 @@ Policy = Callable[[GameState, np.ndarray], np.ndarray]
 
 
 class ToPointPolicy:
-    """Run straight at a fixed target; hold the last heading once there.
+    """Run straight at a fixed target.
 
-    Holding (rather than re-aiming) within ``tol`` of the target avoids
-    heading chatter in discrete time. Starting exactly at the target with
-    no heading yet means holding position (zero heading).
+    In the exact continuous-time path of :func:`simulate` the player stops
+    on its target, and one that starts within ``tol`` of it holds position.
+    Called as a policy (forward Euler), it holds its last heading once
+    within ``tol`` of the target rather than re-aiming, which avoids
+    heading chatter in discrete time; starting within ``tol`` with no
+    heading yet means holding position (zero heading).
     """
 
     def __init__(self, target, tol: float = 1e-9):
@@ -156,90 +169,61 @@ def _chord_arrival(prev, cur):
     return a0 / (a0 - a1) if a0 > 0.0 else 0.0
 
 
-# Fast path for the built-in policies, on plain arrays.
+# Exact path for the built-in policies, on plain arrays.
 #
 # Player order: defender 1, defender 2, attacker. ``mode`` selects the
-# heading rule per player: 0 = run to a fixed point (vec is the target,
-# heading held once within arrive_tol), 1 = fixed heading (vec is unit).
-# Event codes: 0 = timeout, 1 = captured, 2 = arrived. Events are located by
-# chord interpolation inside the step; capture wins a within-step tie.
+# motion per player: 0 = run to the point ``vec`` and stop on it (hold from
+# the start when within arrive_tol of it), 1 = cruise along the unit heading
+# ``vec``. Velocities are then piecewise constant: [0, nsteps * dt] is cut at
+# the stop times, and on each piece capture and arrival are roots of a
+# quadratic and a linear function of time. Event codes: 0 = timeout,
+# 1 = captured, 2 = arrived; capture wins a tie. The last item returned is
+# the number of pieces examined.
 
 def _run_linear(pos0, speeds, mode, vec, dt, t_max, eps_capture, arrive_tol):
-    n = pos0.shape[1]
-    pos = pos0.copy()
-    last_u = np.zeros((3, n))
-    eps2 = eps_capture * eps_capture
-    nsteps = int(math.ceil(t_max / dt - 1e-12))
-
-    # capture already at the initial state
-    for k in range(2):
-        c = 0.0
-        for j in range(n):
-            t = pos[k, j] - pos[2, j]
-            c += t * t
-        if c <= eps2:
-            return 1, 0.0, pos, k, 0
-
-    for step in range(nsteps):
-        prev = pos.copy()
-        for p in range(3):
-            if mode[p] == 0:
-                norm = 0.0
-                for j in range(n):
-                    t = vec[p, j] - pos[p, j]
-                    norm += t * t
-                norm = math.sqrt(norm)
-                if norm > arrive_tol:
-                    for j in range(n):
-                        last_u[p, j] = (vec[p, j] - pos[p, j]) / norm
-            else:
-                for j in range(n):
-                    last_u[p, j] = vec[p, j]
-            for j in range(n):
-                pos[p, j] = pos[p, j] + speeds[p] * dt * last_u[p, j]
-
-        # earliest capture over both defenders along the chord
-        s_cap = 2.0
-        by = -1
+    vel, stop = np.zeros_like(pos0), np.full(3, math.inf)
+    for p in range(3):
+        if mode[p] == 1:
+            vel[p] = speeds[p] * vec[p]
+            continue
+        diff = vec[p] - pos0[p]
+        dist = float(np.linalg.norm(diff))
+        stop[p] = 0.0
+        if dist > arrive_tol:
+            vel[p], stop[p] = speeds[p] * diff / dist, dist / speeds[p]
+    t_end = math.ceil(t_max / dt - 1e-12) * dt
+    cuts = sorted({float(s) for s in stop if 0.0 < s < t_end} | {t_end})
+    eps2, pos, t0 = eps_capture * eps_capture, pos0.copy(), 0.0
+    for piece, t1 in enumerate(cuts, 1):
+        v = np.where((stop > t0)[:, None], vel, 0.0)
+        s_cap, by = math.inf, -1
         for k in range(2):
-            a = 0.0
-            b = 0.0
-            c = -eps2
-            for j in range(n):
-                d0 = prev[k, j] - prev[2, j]
-                d1 = pos[k, j] - pos[2, j]
-                e = d1 - d0
-                a += e * e
-                b += 2.0 * d0 * e
-                c += d0 * d0
-            s = 2.0
-            if c <= 0.0:
+            d0, e = pos[k] - pos[2], v[k] - v[2]
+            a, b = float(e @ e), float(d0 @ e)
+            s = math.inf
+            if float(d0 @ d0) <= eps2:
                 s = 0.0
-            elif a > 0.0:
-                disc = b * b - 4.0 * a * c
+            elif b < 0.0:
+                # the miss distance d_perp keeps the discriminant exact head-on
+                d_perp = d0 - (b / a) * e
+                disc = a * (eps2 - float(d_perp @ d_perp))
                 if disc >= 0.0:
-                    root = (-b - math.sqrt(disc)) / (2.0 * a)
-                    if 0.0 <= root <= 1.0:
-                        s = root
+                    s = max(0.0, (-b - math.sqrt(disc)) / a)
             if s < s_cap:
-                s_cap = s
-                by = k
-
-        # arrival: attacker height crossing zero along the chord
-        s_arr = 2.0
-        a1 = pos[2, n - 1]
-        if a1 <= 0.0:
-            a0 = prev[2, n - 1]
-            s_arr = a0 / (a0 - a1) if a0 > 0.0 else 0.0
-
-        if s_cap <= 1.0 and s_cap <= s_arr:
-            epos = prev + s_cap * (pos - prev)
-            return 1, (step + s_cap) * dt, epos, by, step + 1
-        if s_arr <= 1.0:
-            epos = prev + s_arr * (pos - prev)
-            return 2, (step + s_arr) * dt, epos, -1, step + 1
-
-    return 0, nsteps * dt, pos, -1, nsteps
+                s_cap, by = s, k
+        h0, vz = float(pos[2, -1]), float(v[2, -1])
+        s_arr = 0.0 if h0 <= 0.0 else (h0 / -vz if vz < 0.0 else math.inf)
+        if min(s_cap, s_arr) <= t1 - t0:
+            if s_cap <= s_arr:
+                return 1, t0 + s_cap, pos + s_cap * v, by, piece
+            epos = pos + s_arr * v
+            epos[2, -1] = min(h0, 0.0)  # the attacker is on the plane at the root
+            return 2, t0 + s_arr, epos, -1, piece
+        pos = pos + (t1 - t0) * v
+        # a stopped player sits on its target exactly, never a rounding above it
+        pos[stop == t1] = vec[stop == t1]
+        t0 = t1
+    return 0, t_end, pos, -1, len(cuts)
 
 
 def simulate(scenario: Scenario, policies, dt: float, t_max: float,
@@ -247,22 +231,32 @@ def simulate(scenario: Scenario, policies, dt: float, t_max: float,
     """Run the game forward until capture, arrival, or timeout.
 
     ``policies`` is the triple (defender 1, defender 2, attacker).
-    ``eps_capture`` defaults to one defender step, ``speed_d * dt``. With
-    ``record=False`` only the initial and terminal samples are kept, and
-    runs whose three policies are the built-in point/heading policies take
-    a fast path that steps identically on plain arrays, without calling the
-    policies.
+    ``eps_capture`` defaults to one defender step, ``speed_d * dt``. The
+    horizon is ``t_max`` rounded up to whole steps of ``dt``.
+
+    With ``record=False`` only the initial and terminal samples are kept,
+    and runs whose three policies are the built-in point/heading policies
+    are solved exactly in continuous time, without calling the policies:
+    every player moves in a straight line, a run-to-point player stops on
+    its target, and capture and arrival fire at their exact times, in
+    O(1) work whatever ``dt`` is. Callable policies, and every run with
+    ``record=True``, step with forward Euler instead, at most
+    ``config.SIMULATE_STEP_BUDGET`` steps: a run that needs more raises
+    :class:`BudgetExceededError`.
     """
     _require_canonical(scenario)
-    if dt <= 0.0:
-        raise ScenarioFormatError(f"dt must be positive, got {dt}")
-    if t_max <= 0.0:
-        raise ScenarioFormatError(f"t_max must be positive, got {t_max}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ScenarioFormatError(f"dt must be positive and finite, got {dt}")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ScenarioFormatError(f"t_max must be positive and finite, got {t_max}")
+    if not math.isfinite(t_max / dt):
+        raise ScenarioFormatError(f"t_max / dt overflows (t_max {t_max}, dt {dt})")
     if eps_capture is None:
         eps_capture = scenario.speed_d * dt
     eps_capture = float(eps_capture)
-    if eps_capture < 0.0:
-        raise ScenarioFormatError("eps_capture must be nonnegative")
+    if not (math.isfinite(eps_capture) and eps_capture >= 0.0):
+        raise ScenarioFormatError(
+            f"eps_capture must be nonnegative and finite, got {eps_capture}")
     if len(policies) != 3:
         raise InvalidPolicyError("need exactly three policies (d1, d2, attacker)")
 
@@ -308,7 +302,7 @@ def simulate(scenario: Scenario, policies, dt: float, t_max: float,
     if s0 == 0.0:
         return finish(EVENT_CAPTURED, 0.0, pos, by0)
 
-    for step in range(nsteps):
+    for step in range(min(nsteps, SIMULATE_STEP_BUDGET)):
         t = step * dt
         prev = pos.copy()
         # policies see the pre-step state only, never partial updates
@@ -329,6 +323,10 @@ def simulate(scenario: Scenario, policies, dt: float, t_max: float,
             times.append((step + 1) * dt)
             samples.append(pos.copy())
 
+    if nsteps > SIMULATE_STEP_BUDGET:
+        raise BudgetExceededError(
+            f"{nsteps} steps of dt = {dt} exceed the step budget "
+            f"{SIMULATE_STEP_BUDGET} without an event")
     if record:
         # the last step's sample is already the terminal one
         times.pop()

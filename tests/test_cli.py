@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process via main(argv)."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -16,6 +17,8 @@ from subguard.cli import main
 
 REF_VALUE = (13.0 - 2.0 * np.sqrt(10.0)) / 6.0
 
+simulate_module = importlib.import_module("subguard.simulate")
+
 
 def scenario_doc(x_a=REF_XA_DWS, hyperplane=None, alpha=REF_ALPHA, n=3,
                  d1=REF_D1, d2=REF_D2):
@@ -26,6 +29,12 @@ def scenario_doc(x_a=REF_XA_DWS, hyperplane=None, alpha=REF_ALPHA, n=3,
         "defenders": [list(d1), list(d2)],
         "attacker": list(x_a),
     }
+
+
+def padded_doc(n, x_a=REF_XA_DWS):
+    """The reference scenario with n - 3 leading zero lateral coordinates."""
+    pad = (0.0,) * (n - 3)
+    return scenario_doc(n=n, x_a=pad + tuple(x_a), d1=pad + REF_D1, d2=pad + REF_D2)
 
 
 @pytest.fixture
@@ -148,6 +157,34 @@ class TestSimulate:
         assert out.startswith("t,")
         assert out.strip().split("\n")[-1].endswith("captured")
 
+    def test_step_budget(self, capsys, ref_path, monkeypatch):
+        # capture takes about 41 steps of 0.05 and 204 steps of 0.01
+        monkeypatch.setattr(simulate_module, "SIMULATE_STEP_BUDGET", 100)
+        code, out, _ = run_cli(capsys, ["simulate", "--scenario", ref_path,
+                                        "--dt", "0.05"])
+        assert code == 0
+        assert out.strip().split("\n")[-1].endswith("captured")
+        code, out, err = run_cli(capsys, ["simulate", "--scenario", ref_path,
+                                          "--dt", "0.01"])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "BudgetExceededError"
+
+
+class TestOracleCommandsAtN6:
+    @pytest.mark.parametrize("cmd, x_a, last", [
+        pytest.param("simulate", REF_XA_AWS, "arrived", id="simulate-aws"),
+        pytest.param("verify", REF_XA_AWS, "attacker_wins", id="verify-aws"),
+        pytest.param("verify", REF_XA_DWS, "degree_value", id="verify-dws"),
+    ])
+    def test_default_grid_fits_the_budget(self, capsys, write_doc, cmd, x_a, last):
+        # without --grid-points the oracles shrink their grid to the budget
+        path = write_doc(padded_doc(6, x_a))
+        code, out, err = run_cli(capsys, [cmd, "--scenario", path])
+        assert code == 0 and err == ""
+        if cmd == "verify":
+            assert all(r["agree"] is True for r in json.loads(out))
+        assert last in out.strip().split("\n")[-1]
+
 
 class TestVerify:
     def test_all_records_agree(self, capsys, ref_path):
@@ -215,15 +252,27 @@ class TestFailureModes:
         pytest.param("verify", "500", 3, "BudgetExceededError", id="verify-500"),
         pytest.param("barrier", "100000", 5, "BudgetExceededError",
                      id="barrier-100000-n5"),
+        pytest.param("verify", "21", 6, "BudgetExceededError", id="verify-21-n6"),
     ])
     def test_bad_grid_points_exits_2(self, capsys, write_doc, cmd, points, n, error):
-        pad = (0.0,) * (n - 3)
-        path = write_doc(scenario_doc(n=n, x_a=pad + REF_XA_DWS, d1=pad + REF_D1,
-                                      d2=pad + REF_D2))
+        path = write_doc(padded_doc(n))
         code, out, err = run_cli(capsys, [cmd, "--scenario", path,
                                           "--grid-points", points])
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--dt", "nan", id="dt-nan"),
+        pytest.param("--tmax", "nan", id="tmax-nan"),
+        pytest.param("--tmax", "inf", id="tmax-inf"),
+        pytest.param("--dt", "inf", id="dt-inf"),
+        pytest.param("--dt", "1e-310", id="dt-1e-310-overflows-tmax-over-dt"),
+    ])
+    def test_non_finite_step_exits_2(self, capsys, ref_path, flag, value):
+        code, out, err = run_cli(capsys, ["simulate", "--scenario", ref_path,
+                                          flag, value])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ScenarioFormatError"
 
 
 class TestOutputPlumbing:

@@ -1,5 +1,6 @@
 """Forward integration, event interpolation, and equilibrium policies."""
 
+import importlib
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conftest import canonical_scenario, ref_scenario
 from subguard import (
     ATTACKER_WINS,
+    BudgetExceededError,
     EVENT_ARRIVED,
     EVENT_CAPTURED,
     EVENT_TIMEOUT,
@@ -23,6 +25,8 @@ from subguard import (
 )
 
 REF_VALUE = (13.0 - 2.0 * np.sqrt(10.0)) / 6.0
+
+simulate_module = importlib.import_module("subguard.simulate")
 
 
 def runaway_scenario():
@@ -89,6 +93,63 @@ class TestEvents:
         assert traj.captured_by == 1
         assert traj.capture_height == pytest.approx(1e-6, rel=1e-6)
         assert traj.t_event == pytest.approx(2.0 - 2e-6, abs=1e-12)
+
+
+class TestExactPath:
+    """record=False with built-in policies: events in continuous time."""
+
+    def test_arrival_on_a_target_in_the_plane(self):
+        s = runaway_scenario()
+        target = np.array([0.3, -0.2, 0.0])
+        pol = dive_policies()[:2] + (to_point_policy(target),)
+        traj = simulate(s, pol, dt=1e-3, t_max=5.0, record=False)
+        assert traj.event == EVENT_ARRIVED
+        dist = float(np.linalg.norm(target - s.x_a))
+        assert traj.t_event == pytest.approx(dist / s.speed_a, abs=1e-12)
+        assert traj.event_point[-1] == 0.0
+
+    def test_stopped_attacker_sits_on_its_target(self):
+        # the attacker halts above the plane; its last position is the
+        # target itself, not a rounding of it
+        s = runaway_scenario()
+        target = np.array([0.3, -0.2, 0.4])
+        pol = dive_policies()[:2] + (to_point_policy(target),)
+        traj = simulate(s, pol, dt=1e-3, t_max=5.0, record=False)
+        assert traj.event == EVENT_TIMEOUT
+        np.testing.assert_array_equal(traj.positions[-1][2], target)
+
+    def test_events_do_not_depend_on_dt(self, ref_dws):
+        runs = [simulate(ref_dws, optimal_policies(ref_dws).triple, dt=dt, t_max=10.0,
+                         eps_capture=1e-9, record=False)
+                for dt in (1e-2, 1e-3, 1e-4)]
+        for traj in runs[1:]:
+            assert traj.event == runs[0].event == EVENT_CAPTURED
+            assert traj.t_event == runs[0].t_event
+            np.testing.assert_array_equal(traj.event_point, runs[0].event_point)
+
+    def test_tiny_step_costs_nothing(self):
+        # 2e10 steps of horizon, solved in a handful of pieces
+        traj = simulate(runaway_scenario(), dive_policies(), dt=1e-9, t_max=20.0,
+                        record=False)
+        assert traj.event == EVENT_ARRIVED
+        assert traj.t_event == pytest.approx(2.0, abs=1e-12)
+
+
+class TestStepBudget:
+    def test_stepped_run_within_budget_and_over_it(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "SIMULATE_STEP_BUDGET", 100)
+        s = runaway_scenario()
+        # arrival after 40 steps, and a timeout after exactly 100
+        traj = simulate(s, dive_policies(), dt=0.05, t_max=5.0)
+        assert traj.event == EVENT_ARRIVED
+        traj = simulate(s, dive_policies(), dt=1e-2, t_max=1.0)
+        assert traj.event == EVENT_TIMEOUT
+        # arrival would take 200 steps
+        with pytest.raises(BudgetExceededError, match="100"):
+            simulate(s, dive_policies(), dt=1e-2, t_max=5.0)
+        # the exact path takes no steps
+        traj = simulate(s, dive_policies(), dt=1e-2, t_max=5.0, record=False)
+        assert traj.event == EVENT_ARRIVED
 
 
 class TestOptimalPlay:
@@ -247,6 +308,9 @@ class TestPolicyValidation:
             simulate(ref_dws, pol, dt=1e-3, t_max=0.0)
         with pytest.raises(ScenarioFormatError):
             simulate(ref_dws, pol, dt=1e-3, t_max=1.0, eps_capture=-0.1)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ScenarioFormatError):
+                simulate(ref_dws, pol, dt=1e-3, t_max=1.0, eps_capture=bad)
 
 
 class TestWireFormats:
