@@ -8,10 +8,10 @@ Five subcommands, all reading one scenario JSON file:
 * ``simulate`` - forward run under equilibrium policies (CSV or JSON)
 * ``verify``   - closed-form results cross-checked against brute-force oracles
 
-Exit codes: 0 on success, 2 on validation errors (malformed scenario or
-step, a violated assumption, a bad or over-budget ``--grid-points`` or a
-simulation over its step budget, named in the error), 3 on numeric or
-domain failures.
+Exit codes: 0 on success, 2 on validation errors (malformed scenario,
+step or ``--tol``, a violated assumption, a bad or over-budget
+``--grid-points`` or a simulation over its step budget, named in the
+error), 3 on numeric or domain failures.
 Errors go to stderr as single-line JSON. Outputs are deterministic: the
 same invocation produces byte-identical bytes.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -50,7 +51,11 @@ from .simulate import optimal_policies, simulate, trajectory_to_csv, trajectory_
 
 
 def _tols(args) -> Tolerances:
-    return Tolerances(rel=args.tol) if args.tol is not None else Tolerances()
+    if args.tol is None:
+        return Tolerances()
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ScenarioFormatError(f"--tol must be finite and nonnegative, got {args.tol}")
+    return Tolerances(rel=args.tol)
 
 
 def _cmd_classify(canon, xf, args) -> str:
@@ -157,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-points", type=int, default=None,
                        help="grid nodes per axis (mesh or oracle)")
         p.add_argument("--tol", type=float, default=None,
-                       help="relative tolerance for surface membership")
+                       help="on-barrier band, a fraction of the largest "
+                            "distance between two players")
     return parser
 
 

@@ -15,9 +15,12 @@ class Tolerances:
     Attributes
     ----------
     rel:
-        Relative tolerance. Scales with the magnitude of the quantities
-        involved; used e.g. for the barrier-membership band, which is
-        ``rel * (1 + ||x_A||^2)`` wide in quadratic-form units.
+        Relative tolerance, a fraction of the state's own size. A state is
+        on the barrier when the attacker's height differs from the
+        barrier's by at most ``rel * L``, with ``L`` the largest distance
+        between two players, so the band is invariant under translation
+        and scaling; the seam radius check allows ``rho^2`` down to
+        ``-rel * delta^2`` of the ball it cuts.
     abs:
         Absolute tolerance for quantities expected to be exactly zero
         (lateral coincidence, height differences, heading norms).

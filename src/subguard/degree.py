@@ -35,13 +35,7 @@ from .geometry import (
     _require_canonical,
     apollonius,
 )
-from .kind import (
-    DEFENDERS_WIN,
-    ON_BARRIER,
-    PIECE_B3,
-    _governing_piece,
-    evaluate_kind,
-)
+from .kind import DEFENDERS_WIN, ON_BARRIER, PIECE_B3, _kind, evaluate_kind
 
 CASE_ONE_EFFECTIVE = "one_effective"
 CASE_TWO_M_NONZERO = "two_effective_m12_nonzero"
@@ -118,9 +112,12 @@ def _heading_or_none(frm, to) -> np.ndarray | None:
 
 def _bisector(scenario: Scenario) -> tuple[np.ndarray, float]:
     """The defenders' bisector plane ``nu . z = w``: the points equidistant
-    from both, so a point of one dominance sphere on it lies on both."""
+    from both, so a point of one dominance sphere on it lies on both.
+
+    ``w`` is ``nu`` against the defenders' midpoint, not the equal half gap
+    of their squared norms, which loses digits far from the origin."""
     nu = scenario.x_d1 - scenario.x_d2
-    w = 0.5 * (float(scenario.x_d1 @ scenario.x_d1) - float(scenario.x_d2 @ scenario.x_d2))
+    w = 0.5 * float(nu @ (scenario.x_d1 + scenario.x_d2))
     return nu, w
 
 
@@ -140,7 +137,7 @@ def _seam_bottom(scenario: Scenario, tols: Tolerances) -> np.ndarray:
     s = (float(nu @ ball.theta) - w) / nn
     center = ball.theta - s * nu
     rho2 = ball.delta**2 - s**2 * nn
-    if rho2 < -tols.rel * (1.0 + ball.delta**2):
+    if rho2 < -tols.rel * ball.delta**2:
         raise NumericalDegeneracyError(f"seam radius squared {rho2:.3g} is negative")
     lat2 = float(nu[:-1] @ nu[:-1])
     if lat2 == 0.0:
@@ -174,40 +171,37 @@ def solve_dws(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> DegreeSolu
 
 
 def otp_on_barrier(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Optimal target point for a state exactly on the barrier.
+    """Optimal target point for a state exactly on the barrier."""
+    return barrier_solution(scenario, tols).otp
+
+
+def barrier_solution(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> DegreeSolution:
+    """Degree solution for an on-barrier state (value zero).
 
     The equal-time point sits on the target hyperplane itself: directly
     below the governing dominance-ball center on a single-defender piece,
     or at the closed-form seam foot on the composite piece. All binding
     defenders and the attacker arrive simultaneously.
     """
-    _require_canonical(scenario)
-    outcome = evaluate_kind(scenario, tols)
+    outcome, owner = _kind(scenario, tols)
     if outcome.outcome != ON_BARRIER:
         raise NotOnBarrierError(
             f"state classifies as {outcome.outcome}, not on the barrier")
-    piece, _, owner, _ = _governing_piece(scenario, tols)
-    if piece == PIECE_B3:
+    if outcome.piece == PIECE_B3:
         # the seam's trace on the hyperplane: the sphere center's lateral
         # foot projected onto the bisector line a . z_lat = w
         ball1 = apollonius(scenario.x_a, scenario.x_d1, scenario.alpha)
         nu, w = _bisector(scenario)
         a, theta_lat = nu[:-1], ball1.theta[:-1]
         p_lat = theta_lat + ((w - float(a @ theta_lat)) / float(a @ a)) * a
+        effective = (1, 2)
     else:
         x_d = scenario.x_d1 if owner == 1 else scenario.x_d2
-        ball = apollonius(scenario.x_a, x_d, scenario.alpha)
-        p_lat = ball.theta[:-1]
-    return np.append(p_lat, 0.0)
-
-
-def barrier_solution(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> DegreeSolution:
-    """Degree solution for an on-barrier state (value zero)."""
-    otp = otp_on_barrier(scenario, tols)
-    piece, _, owner, _ = _governing_piece(scenario, tols)
-    effective = (1, 2) if piece == PIECE_B3 else (owner,)
+        p_lat = apollonius(scenario.x_a, x_d, scenario.alpha).theta[:-1]
+        effective = (owner,)
+    otp = np.append(p_lat, 0.0)
     return DegreeSolution(
-        case=CASE_BARRIER, effective=effective, otp=otp, value=float(otp[-1]),
+        case=CASE_BARRIER, effective=effective, otp=otp, value=0.0,
         d1=_heading_or_none(scenario.x_d1, otp),
         d2=_heading_or_none(scenario.x_d2, otp),
         a=_heading_or_none(scenario.x_a, otp))

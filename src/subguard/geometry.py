@@ -15,6 +15,9 @@ The closed-form theory is carried by three constructions:
 * :func:`apollonius` - the dominance ball of a defender over the attacker
   (all points the attacker reaches strictly first).
 
+The solvers evaluate the two matrix forms through the O(n) surface kernel
+in :mod:`subguard.kind`; the dense matrices are the paper's reference.
+
 Conventions: positions are 1-D float arrays of length ``n >= 2``; the last
 coordinate is "height" above the target hyperplane in the canonical frame;
 ``lat`` refers to the remaining ``n - 1`` lateral coordinates. The speed

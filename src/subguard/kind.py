@@ -1,8 +1,8 @@
 """Game of kind: who wins from a given initial state, and the barrier surface.
 
-The defender team wins exactly when the attacker sits on the positive side
-of one closed-form quadratic surface. Which surface applies depends on the
-defender configuration:
+The defender team wins exactly when the attacker sits above one
+closed-form, piecewise-quadric barrier surface. Which piece applies depends
+on the defender configuration:
 
 * laterally separated defenders: three pieces, the two single-defender
   quadrics (``B1``, ``B2``) and a composite pairwise quadric (``B3``),
@@ -13,6 +13,12 @@ defender configuration:
 Defenders below the target hyperplane are replaced by their mirror images
 before any evaluation; guarding power depends only on distance to the
 hyperplane, and the surface algebra assumes nonnegative defender heights.
+
+One kernel, ``_barrier_heights``, gives the surface's height, piece and
+owner over any lateral points in O(n) work each; classification, barrier
+sampling and the on-barrier solution all read it. The paper's matrices
+(``geometry.single_matrix``, ``geometry.pair_geometry``) and
+``region_label`` stay as the reference the kernel is tested against.
 
 All functions here require the canonical frame.
 """
@@ -38,9 +44,6 @@ from .geometry import (
     Scenario,
     _as_vector,
     _require_canonical,
-    pair_geometry,
-    quadratic_form,
-    single_matrix,
 )
 
 PIECE_SINGLE = "Single"
@@ -62,13 +65,6 @@ def mirror_defender(x_d) -> np.ndarray:
     """Reflect a position through the target hyperplane (negate the height)."""
     x = np.array(_as_vector(x_d, name="defender position"))
     x[-1] = -x[-1]
-    return x
-
-
-def _mirrored(x_d) -> np.ndarray:
-    x = np.array(np.asarray(x_d, dtype=float))
-    if x[-1] < 0.0:
-        x[-1] = -x[-1]
     return x
 
 
@@ -100,12 +96,6 @@ def classify_active(x_d1, x_d2, tol: float = DEFAULT_TOLS.abs) -> ActiveSet:
     return ActiveSet(two_active=False, index=index)
 
 
-def _region_threshold(geo: PairGeometry, alpha: float) -> float:
-    # region boundary: a . z_lat > alpha^2 a . x_di_lat + (1 - alpha^2) w
-    x_di_lat = geo.b + 0.5 * geo.a
-    return alpha**2 * float(geo.a @ x_di_lat) + (1.0 - alpha**2) * geo.w
-
-
 def region_label(z, geo12: PairGeometry, geo21: PairGeometry, alpha: float,
                  tol: float = DEFAULT_TOLS.abs) -> str:
     """Lateral region of a point: nearest-responsibility defender or seam.
@@ -118,113 +108,121 @@ def region_label(z, geo12: PairGeometry, geo21: PairGeometry, alpha: float,
     z = _as_vector(z, name="point")
     if float(np.linalg.norm(geo12.a)) <= tol:
         raise DegeneratePairError("regions need laterally separated defenders")
-    s = float(geo12.a @ z[:-1])
-    if s > _region_threshold(geo12, alpha):
-        return REGION_A1
-    if float(geo21.a @ z[:-1]) > _region_threshold(geo21, alpha):
-        return REGION_A2
+    for geo, label in ((geo12, REGION_A1), (geo21, REGION_A2)):
+        # a . z_lat > alpha^2 a . x_di_lat + (1 - alpha^2) w
+        x_di_lat = geo.b + 0.5 * geo.a
+        if float(geo.a @ z[:-1]) > (alpha**2 * float(geo.a @ x_di_lat)
+                                    + (1.0 - alpha**2) * geo.w):
+            return label
     return REGION_A12
 
 
 @dataclass(frozen=True)
 class KindOutcome:
-    """Winner classification plus the governing surface piece and form value."""
+    """Winner classification plus the governing surface piece and form value.
+
+    ``margin`` is the signed height margin that decided the outcome, the
+    attacker's height minus the barrier's, in units of the state's length
+    scale (the largest distance between two players): above ``tols.rel``
+    the defenders win, below ``-tols.rel`` the attacker does.
+    """
 
     outcome: str
     piece: str
     form_value: float
-
-
-def _governing_piece(scenario: Scenario, tols: Tolerances):
-    """Mirrored branch logic shared by classification and target construction.
-
-    Returns ``(piece, xi, owner, geo12)``: the governing piece label for the
-    attacker's lateral position, its quadric, the 1-based defender owning a
-    single-defender piece (None for the composite ``B3``), and the pair
-    geometry when both defenders are active.
-    """
-    d1m = _mirrored(scenario.x_d1)
-    d2m = _mirrored(scenario.x_d2)
-    alpha = scenario.alpha
-    if float(np.linalg.norm(d1m - d2m)) <= tols.abs:
-        # mirror-symmetric stack collapses to one virtual defender
-        return PIECE_SINGLE, single_matrix(d1m, alpha), 1, None
-    active = classify_active(d1m, d2m, tol=tols.abs)
-    if not active.two_active:
-        chosen = d1m if active.index == 1 else d2m
-        return PIECE_SINGLE, single_matrix(chosen, alpha), active.index, None
-    geo12 = pair_geometry(d1m, d2m, alpha)
-    geo21 = pair_geometry(d2m, d1m, alpha)
-    label = region_label(scenario.x_a, geo12, geo21, alpha, tol=tols.abs)
-    if label == REGION_A1:
-        return PIECE_B1, single_matrix(d1m, alpha), 1, geo12
-    if label == REGION_A2:
-        return PIECE_B2, single_matrix(d2m, alpha), 2, geo12
-    return PIECE_B3, geo12.xi, None, geo12
-
-
-def evaluate_kind(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> KindOutcome:
-    """Classify an initial state: defenders win, attacker wins, or barrier.
-
-    Evaluates the governing quadratic form at the attacker position. The
-    on-barrier band is ``|form| <= tols.rel * (1 + ||x_a||^2)``, scaling with
-    the form's own quadratic growth.
-    """
-    _require_canonical(scenario)
-    if scenario.x_a[-1] <= 0.0:
-        raise AttackerNotInPlayError("attacker must sit strictly above the hyperplane")
-    piece, xi, _, _ = _governing_piece(scenario, tols)
-    form = quadratic_form(xi, scenario.x_a)
-    band = tols.rel * (1.0 + float(scenario.x_a @ scenario.x_a))
-    if form > band:
-        outcome = DEFENDERS_WIN
-    elif form < -band:
-        outcome = ATTACKER_WINS
-    else:
-        outcome = ON_BARRIER
-    return KindOutcome(outcome=outcome, piece=piece, form_value=form)
+    margin: float
 
 
 # ---------------------------------------------------------------------------
-# barrier surface evaluation
+# barrier surface kernel
 # ---------------------------------------------------------------------------
 
 def _barrier_heights(points, x_d1, x_d2, alpha: float, tols: Tolerances):
-    """Barrier heights and piece codes over the rows of lateral ``points``.
+    """The barrier surface over the rows of lateral ``points``, in O(n) a row.
 
-    Codes index ``_PIECE_BY_CODE`` (0 = Single, 1 = B1, 2 = B2, 3 = B3).
-    Height is NaN where the selected quadric has no positive root (surface
-    absent above that point).
+    Defenders are mirrored above the hyperplane, and lateral coordinates
+    are centred on their lateral midpoint, so a far lateral offset cancels
+    once, in ``points - mid``. With ``a = d1_lat - d2_lat`` every pair
+    product of the paper's matrices is a rank-one expression in ``a``.
+
+    Returns ``(h2, codes, coef, owner)`` per row: the squared barrier height
+    (not positive where the surface is absent above the point), the piece
+    code indexing ``_PIECE_BY_CODE`` (0 = Single, 1 = B1, 2 = B2, 3 = B3),
+    the piece's quadratic coefficient (its form at ``z`` is
+    ``coef * (z_n^2 - h2)``), and the 1-based defender owning a
+    single-defender piece (0 on ``B3``).
     """
-    d1 = _mirrored(_as_vector(x_d1, name="defender 1 position"))
-    d2 = _mirrored(_as_vector(x_d2, n=d1.shape[0], name="defender 2 position"))
-    alpha = float(alpha)
-    gamma = 1.0 / alpha**2 - 1.0
-    pp = np.sum(points * points, axis=1)
+    d1, d2 = (np.append(d[:-1], abs(d[-1])) for d in (x_d1, x_d2))
+    one_m, gamma = 1.0 - alpha**2, 1.0 / alpha**2 - 1.0
+    mid = 0.5 * (d1[:-1] + d2[:-1])
+    y, rows = points - mid, points.shape[0]
 
-    def h2_single(d):
-        k = float(d @ d) - alpha**2 * d[-1] ** 2
-        return (pp - 2.0 * points @ d[:-1] + k) / gamma
+    def h2_single(offset, height):
+        # gamma h^2 = ||y - offset||^2 + (1 - alpha^2) height^2
+        return (np.sum((y - offset) ** 2, axis=1) + one_m * height**2) / gamma
 
     if float(np.linalg.norm(d1 - d2)) <= tols.abs:
         # mirror-symmetric stack collapses to one virtual defender
         active = ActiveSet(two_active=False, index=1)
     else:
         active = classify_active(d1, d2, tol=tols.abs)
-    if active.two_active:
-        geo12 = pair_geometry(d1, d2, alpha)
-        geo21 = pair_geometry(d2, d1, alpha)
-        h2_3 = (np.einsum("md,de,me->m", points, geo12.zeta2, points)
-                + 2.0 * points @ geo12.zeta3 + geo12.zeta4) / geo12.zeta1
-        s = points @ geo12.a
-        in1 = s > _region_threshold(geo12, alpha)
-        in2 = -s > _region_threshold(geo21, alpha)
-        codes = np.where(in1, 1, np.where(in2, 2, 3))
-        h2 = np.where(in1, h2_single(d1), np.where(in2, h2_single(d2), h2_3))
+    if not active.two_active:
+        d = d1 if active.index == 1 else d2
+        return (h2_single(d[:-1] - mid, d[-1]), np.zeros(rows, dtype=np.int64),
+                np.full(rows, gamma), np.full(rows, active.index))
+    a = d1[:-1] - d2[:-1]
+    aa, h1s, h2s = float(a @ a), d1[-1] ** 2, d2[-1] ** 2
+    w, s, zeta1 = 0.5 * (h1s - h2s), y @ a, one_m * aa
+    zeta4 = 0.5 * one_m * alpha**2 * aa * (0.5 * aa + h1s + h2s) - one_m**2 * w**2
+    h2_3 = (alpha**2 * aa * np.sum(y * y, axis=1) - s * s + 2.0 * one_m * w * s
+            + zeta4) / zeta1
+    in1 = s > 0.5 * alpha**2 * aa + one_m * w
+    in2 = -s > 0.5 * alpha**2 * aa - one_m * w
+    codes = np.where(in1, 1, np.where(in2, 2, 3))
+    h2 = np.where(in1, h2_single(0.5 * a, d1[-1]),
+                  np.where(in2, h2_single(-0.5 * a, d2[-1]), h2_3))
+    return h2, codes, np.where(codes == 3, zeta1, gamma), np.where(codes == 3, 0, codes)
+
+
+def _kind(scenario: Scenario, tols: Tolerances) -> tuple[KindOutcome, int]:
+    """Classify the attacker against the surface above it: the outcome, and
+    the owner of a single-defender piece (0 on ``B3``)."""
+    _require_canonical(scenario)
+    x_a = scenario.x_a
+    z = float(x_a[-1])
+    if z <= 0.0:
+        raise AttackerNotInPlayError("attacker must sit strictly above the hyperplane")
+    h2, codes, coef, owner = _barrier_heights(x_a[None, :-1], scenario.x_d1,
+                                              scenario.x_d2, scenario.alpha, tols)
+    h2 = float(h2[0])
+    gap = z * z - h2
+    length = max(float(np.linalg.norm(scenario.x_d1 - scenario.x_d2)),
+                 float(np.linalg.norm(scenario.x_d1 - x_a)),
+                 float(np.linalg.norm(scenario.x_d2 - x_a)))
+    # z - h, formed without cancellation; equal to gap / z when h is absent
+    margin = gap / (z + math.sqrt(max(h2, 0.0))) / length
+    if margin > tols.rel:
+        outcome = DEFENDERS_WIN
+    elif margin < -tols.rel:
+        outcome = ATTACKER_WINS
     else:
-        codes = np.zeros(points.shape[0], dtype=np.int64)
-        h2 = h2_single(d1 if active.index == 1 else d2)
-    return np.where(h2 > 0.0, np.sqrt(np.maximum(h2, 0.0)), np.nan), codes
+        outcome = ON_BARRIER
+    return (KindOutcome(outcome=outcome, piece=_PIECE_BY_CODE[int(codes[0])],
+                        form_value=float(coef[0]) * gap, margin=margin),
+            int(owner[0]))
+
+
+def evaluate_kind(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> KindOutcome:
+    """Classify an initial state: defenders win, attacker wins, or barrier.
+
+    Compares the attacker's height with the barrier's above its lateral
+    position. The state is on the barrier when the two differ by at most
+    ``tols.rel * L``, with ``L`` the largest distance between two players,
+    so the band moves with the state under translation and scaling. The
+    reported ``form_value`` is the governing piece's quadratic form at the
+    attacker, ``coef * (z_n^2 - h^2)``.
+    """
+    return _kind(scenario, tols)[0]
 
 
 def barrier_height(z_lat, x_d1, x_d2, alpha: float,
@@ -237,9 +235,10 @@ def barrier_height(z_lat, x_d1, x_d2, alpha: float,
     defenders win the whole vertical fiber).
     """
     z_lat = np.atleast_1d(np.asarray(z_lat, dtype=float))
-    heights, _ = _barrier_heights(z_lat[None, :], x_d1, x_d2, alpha, tols)
-    h = float(heights[0])
-    return None if np.isnan(h) else h
+    d1 = _as_vector(x_d1, name="defender 1 position")
+    d2 = _as_vector(x_d2, n=d1.shape[0], name="defender 2 position")
+    h2 = float(_barrier_heights(z_lat[None, :], d1, d2, float(alpha), tols)[0][0])
+    return math.sqrt(h2) if h2 > 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -279,9 +278,10 @@ def sample_barrier(x_d1, x_d2, alpha: float, lo, hi, counts,
     axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(n - 1)]
     grids = np.meshgrid(*axes, indexing="ij")
     lat = np.stack([g.ravel() for g in grids], axis=1)
-    heights, codes = _barrier_heights(lat, x_d1, x_d2, alpha, tols)
-    keep = ~np.isnan(heights)
-    pts = np.concatenate([lat[keep], heights[keep, None]], axis=1)
+    d2 = _as_vector(x_d2, n=n, name="defender 2 position")
+    h2, codes, _, _ = _barrier_heights(lat, d1, d2, float(alpha), tols)
+    keep = h2 > 0.0
+    pts = np.concatenate([lat[keep], np.sqrt(h2[keep])[:, None]], axis=1)
     labels = [_PIECE_BY_CODE[int(c)] for c in codes[keep]]
     return BarrierMesh(points=pts, pieces=labels)
 

@@ -242,7 +242,8 @@ def simulate(scenario: Scenario, policies, dt: float, t_max: float,
     O(1) work whatever ``dt`` is. Callable policies, and every run with
     ``record=True``, step with forward Euler instead, at most
     ``config.SIMULATE_STEP_BUDGET`` steps: a run that needs more raises
-    :class:`BudgetExceededError`.
+    :class:`BudgetExceededError`, before the first step when the exact
+    event time of built-in policies already shows it.
     """
     _require_canonical(scenario)
     if not (math.isfinite(dt) and dt > 0.0):
@@ -264,8 +265,7 @@ def simulate(scenario: Scenario, policies, dt: float, t_max: float,
     pos0 = np.stack([scenario.x_d1, scenario.x_d2, scenario.x_a]).astype(float)
     speeds = np.array([scenario.speed_d, scenario.speed_d, scenario.speed_a])
 
-    builtin = all(isinstance(p, (ToPointPolicy, FixedHeadingPolicy)) for p in policies)
-    if not record and builtin:
+    if all(isinstance(p, (ToPointPolicy, FixedHeadingPolicy)) for p in policies):
         mode = np.array([0 if isinstance(p, ToPointPolicy) else 1 for p in policies],
                         dtype=np.int64)
         vec = np.stack([p.target if isinstance(p, ToPointPolicy) else p.u
@@ -275,12 +275,19 @@ def simulate(scenario: Scenario, policies, dt: float, t_max: float,
         code, t_event, epos, by, _ = _run_linear(
             pos0, speeds, mode, vec, float(dt), float(t_max), eps_capture,
             float(arrive_tol))
-        event = (EVENT_TIMEOUT, EVENT_CAPTURED, EVENT_ARRIVED)[int(code)]
-        return Trajectory(
-            dt=float(dt), times=np.array([0.0, t_event]),
-            positions=np.stack([pos0, epos]), event=event, t_event=float(t_event),
-            event_point=None if event == EVENT_TIMEOUT else np.array(epos[2]),
-            captured_by=None if by < 0 else int(by) + 1)
+        if not record:
+            event = (EVENT_TIMEOUT, EVENT_CAPTURED, EVENT_ARRIVED)[int(code)]
+            return Trajectory(
+                dt=float(dt), times=np.array([0.0, t_event]),
+                positions=np.stack([pos0, epos]), event=event, t_event=float(t_event),
+                event_point=None if event == EVENT_TIMEOUT else np.array(epos[2]),
+                captured_by=None if by < 0 else int(by) + 1)
+        # the exact event time bounds the steps before any is taken
+        needed = math.ceil(t_event / dt - 1e-12)
+        if needed > SIMULATE_STEP_BUDGET:
+            raise BudgetExceededError(
+                f"{needed} steps of dt = {dt} to the event exceed the step "
+                f"budget {SIMULATE_STEP_BUDGET}")
 
     nsteps = int(math.ceil(t_max / dt - 1e-12))
     pos = pos0.copy()

@@ -47,6 +47,42 @@ def ref_scenario(x_a):
     return canonical_scenario(3, REF_D1, REF_D2, x_a)
 
 
+def length(scenario):
+    """The state's length scale: its largest distance between two players."""
+    p = (scenario.x_d1, scenario.x_d2, scenario.x_a)
+    return max(float(np.linalg.norm(p[i] - p[j])) for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
+def moved(scenario, rot=None, scale=1.0, shift=None, swap=False):
+    """Canonical twin of a canonical scenario under a symmetry of the game.
+
+    Rotates the lateral axes by the orthogonal ``rot``, scales uniformly by
+    ``scale``, shifts laterally by ``shift`` and, with ``swap``, lists the
+    defenders in the other order.
+    """
+    def move(x):
+        x = np.array(x, dtype=float)
+        if rot is not None:
+            x[:-1] = rot @ x[:-1]
+        x *= scale
+        if shift is not None:
+            x[:-1] += shift
+        return x
+
+    d1, d2 = (scenario.x_d2, scenario.x_d1) if swap else (scenario.x_d1, scenario.x_d2)
+    return canonical_scenario(scenario.n, move(d1), move(d2), move(scenario.x_a),
+                              scenario.alpha)
+
+
+def rand_symmetry(rng, n, log_scale, reach):
+    """A random lateral rotation, the scale ``10**log_scale``, and a lateral
+    shift of ``reach`` scaled lengths in a random direction."""
+    rot, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
+    scale = 10.0 ** log_scale
+    direction = rng.standard_normal(n - 1)
+    return rot, scale, scale * reach * direction / float(np.linalg.norm(direction))
+
+
 @pytest.fixture
 def ref_dws():
     return ref_scenario(REF_XA_DWS)
@@ -70,7 +106,7 @@ def rand_kind_scenario(rng, n=None, margin=0.05, tries=500):
     """Random scenario whose winner form is comfortably signed.
 
     The margin is measured on the form normalized by its quadratic growth
-    scale 1 + ||x_a||^2, matching the on-barrier band definition.
+    scale 1 + ||x_a||^2.
     """
     for _ in range(tries):
         dim = int(rng.integers(2, 5)) if n is None else n

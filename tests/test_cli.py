@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +170,16 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "BudgetExceededError"
 
+    def test_step_budget_checked_before_stepping(self, capsys, ref_path):
+        # capture near t = 2.04 needs about 2e6 steps of 1e-6, twice the
+        # budget; the exact event time shows it before the first step
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["simulate", "--scenario", ref_path,
+                                          "--dt", "1e-6"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "BudgetExceededError"
+
 
 class TestOracleCommandsAtN6:
     @pytest.mark.parametrize("cmd, x_a, last", [
@@ -273,6 +284,21 @@ class TestFailureModes:
                                           flag, value])
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ScenarioFormatError"
+
+    @pytest.mark.parametrize("cmd", ["classify", "solve"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_bad_tol_exits_2(self, capsys, ref_path, cmd, value):
+        # a NaN band would put every state on the barrier, and a negative
+        # one would call clear wins for the wrong side
+        code, out, err = run_cli(capsys, [cmd, "--scenario", ref_path,
+                                          f"--tol={value}"])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ScenarioFormatError"
+
+    def test_zero_tol_accepted(self, capsys, ref_path):
+        code, out, _ = run_cli(capsys, ["classify", "--scenario", ref_path, "--tol", "0"])
+        assert code == 0
+        assert json.loads(out)["outcome"] == "defenders_win"
 
 
 class TestOutputPlumbing:

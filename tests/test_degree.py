@@ -4,10 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import referee
 from conftest import (
     canonical_scenario,
+    length,
+    moved,
     rand_dws_scenario,
+    rand_symmetry,
     rand_two_effective,
     ref_scenario,
 )
@@ -16,6 +22,7 @@ from subguard import (
     CASE_ONE_EFFECTIVE,
     CASE_TWO_M_NONZERO,
     CASE_TWO_M_ZERO,
+    DEFENDERS_WIN,
     CoincidentPointsError,
     NotInDWSError,
     NotOnBarrierError,
@@ -249,3 +256,52 @@ class TestSolutionJson:
         k_norm = float(np.linalg.norm(k))
         assert world.hyperplane.side(world_otp) / k_norm == pytest.approx(
             sol.value, abs=1e-9)
+
+
+class TestSymmetries:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1),
+           st.floats(min_value=-6, max_value=6), st.floats(min_value=0, max_value=1e6),
+           st.booleans())
+    def test_value_scales_with_the_state(self, n, seed, log_scale, reach, swap):
+        rng = np.random.default_rng(seed)
+        s = rand_dws_scenario(rng, n=n)
+        rot, scale, shift = rand_symmetry(rng, n, log_scale, reach)
+        twin = moved(s, rot, scale, shift, swap)
+        value = solve_dws(twin).value
+        assert abs(value - scale * solve_dws(s).value) <= 1e-9 * length(twin)
+
+
+class TestAboveTheOracleCap:
+    """The closed forms against the referee's Apollonius-ball answers in
+    dimensions the grid oracles cannot reach."""
+
+    @staticmethod
+    def states(rng, n, count):
+        # lateral spreads shrink as 1/sqrt(n - 1) so distances stay O(1);
+        # the referee's disc overlap keeps each state off the barrier
+        spread = 1.0 / np.sqrt(n - 1)
+        out = []
+        while len(out) < count:
+            alpha = float(rng.uniform(0.3, 0.8))
+            d1 = np.append(spread * rng.uniform(-2, 2, n - 1), rng.uniform(-1.5, 2.5))
+            d2 = np.append(spread * rng.uniform(-2, 2, n - 1), rng.uniform(-1.5, 2.5))
+            a = np.append(spread * rng.uniform(-2.5, 2.5, n - 1), rng.uniform(0.2, 3.0))
+            s = canonical_scenario(n, d1, d2, a, alpha)
+            if abs(referee.disc_overlap(a, d1, d2, alpha)) > 0.05 * length(s):
+                out.append(s)
+        return out
+
+    @pytest.mark.parametrize("n, count", [(8, 40), (64, 20), (1024, 10)])
+    def test_outcome_and_value_match_the_referee(self, n, count):
+        rng = np.random.default_rng(n)
+        outcomes = set()
+        for s in self.states(rng, n, count):
+            args = (s.x_a, s.x_d1, s.x_d2, s.alpha)
+            outcome = evaluate_kind(s).outcome
+            assert outcome == referee.outcome(*args)
+            outcomes.add(outcome)
+            if outcome == DEFENDERS_WIN:
+                value = solve_dws(s).value
+                assert abs(value - referee.lowest_point(*args).value) <= 1e-9 * length(s)
+        assert len(outcomes) == 2

@@ -11,8 +11,10 @@ from conftest import (
     REF_D1,
     REF_D2,
     canonical_scenario,
+    moved,
     rand_kind_scenario,
     rand_mirror_scenario,
+    rand_symmetry,
     ref_scenario,
 )
 from subguard import (
@@ -31,9 +33,14 @@ from subguard import (
     mesh_to_json,
     mirror_defender,
     pair_geometry,
+    quadratic_form,
     region_label,
     sample_barrier,
+    single_matrix,
 )
+from subguard import barrier_solution, solve_dws
+from subguard import degree as degree_module
+from subguard import geometry as geometry_module
 from subguard import kind as kind_module
 from subguard.kind import (
     PIECE_B1,
@@ -341,3 +348,105 @@ def test_kind_matches_mesh_on_random_pairs():
         h = barrier_height(s.x_a[:2], s.x_d1, s.x_d2, s.alpha)
         expect = DEFENDERS_WIN if s.x_a[-1] > h else ATTACKER_WINS
         assert out.outcome == expect
+
+
+def test_form_value_is_the_governing_quadric():
+    # the kernel's coef * (z_n^2 - h^2) against the paper's matrices
+    rng = np.random.default_rng(31)
+    states = [rand_kind_scenario(rng, n=n)[0] for n in range(2, 9) for _ in range(40)]
+    states += [canonical_scenario(3, (0.3, -0.2, 2.4), (0.3, -0.2, -0.6), (1.0, 0.5, 1.2), 0.6),
+               canonical_scenario(2, (0.3, 1.0), (0.3, -1.0), (2.0, 0.7), 0.4)]
+    for s in states:
+        out = evaluate_kind(s)
+        d1, d2 = flip_up(s.x_d1), flip_up(s.x_d2)
+        if out.piece == PIECE_B3:
+            xi = pair_geometry(d1, d2, s.alpha).xi
+        else:
+            owner = d2 if out.piece == PIECE_B2 or (
+                out.piece == PIECE_SINGLE and d2[-1] < d1[-1]) else d1
+            xi = single_matrix(owner, s.alpha)
+        assert out.form_value == pytest.approx(quadratic_form(xi, s.x_a), rel=1e-12)
+
+
+def test_solver_paths_build_no_matrix(monkeypatch):
+    # the surface kernel is O(n): no (n+1)^2 matrix or einsum on any path
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense matrix on a solver path")
+
+    for name in ("pair_geometry", "single_matrix", "quadratic_form"):
+        monkeypatch.setattr(geometry_module, name, forbidden)
+        for module in (kind_module, degree_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(np, "einsum", forbidden)
+    assert solve_dws(ref_scenario((0.0, 0.0, 2.0))).effective == (2,)
+    assert barrier_solution(ref_scenario((0.0, 0.0, np.sqrt(REF_BARRIER_H2)))).effective == (1, 2)
+    assert evaluate_kind(ref_scenario((-2.0, 0.0, 1.5))).piece == PIECE_B1
+    assert barrier_height(np.array([0.0, 0.0]), REF_D1, REF_D2, REF_ALPHA) > 0.0
+    mesh = sample_barrier(REF_D1, REF_D2, REF_ALPHA, lo=-3.0, hi=3.0, counts=5)
+    assert set(mesh.pieces) == {PIECE_B1, PIECE_B2, PIECE_B3}
+
+
+SWAPPED_PIECE = {PIECE_B1: PIECE_B2, PIECE_B2: PIECE_B1, PIECE_B3: PIECE_B3,
+                 PIECE_SINGLE: PIECE_SINGLE}
+
+
+class TestSymmetries:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1),
+           st.floats(min_value=-6, max_value=6), st.floats(min_value=0, max_value=1e6),
+           st.booleans())
+    def test_outcome_and_margin_invariant(self, n, seed, log_scale, reach, swap):
+        # lateral rotation, uniform scaling, lateral translation (up to 1e6
+        # scaled units) and defender swap leave the game unchanged
+        rng = np.random.default_rng(seed)
+        s, out = rand_kind_scenario(rng, n=n)
+        rot, scale, shift = rand_symmetry(rng, n, log_scale, reach)
+        twin = evaluate_kind(moved(s, rot, scale, shift, swap))
+        assert twin.outcome == out.outcome
+        assert twin.piece == (SWAPPED_PIECE[out.piece] if swap else out.piece)
+        assert twin.margin == pytest.approx(out.margin, abs=1e-9)
+        assert (out.margin > 0.0) == (out.outcome == DEFENDERS_WIN)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(["x_d1", "x_d2"]))
+    def test_mirroring_a_defender_keeps_the_outcome(self, n, seed, which):
+        # only the outcome: the mirrored defender's ball moves, and with it
+        # the value and the length scale of the margin
+        s, out = rand_kind_scenario(np.random.default_rng(seed), n=n)
+        twin = s.replace_positions(**{which: mirror_defender(getattr(s, which))})
+        assert evaluate_kind(twin).outcome == out.outcome
+
+
+class TestFarFrames:
+    """Attackers a relative height ``delta`` above and below the reference
+    barrier, with the whole state scaled and shifted laterally."""
+
+    @pytest.fixture(scope="class")
+    def probes(self):
+        rng = np.random.default_rng(2019)
+        out = []
+        while len(out) < 200:
+            lat = rng.uniform(-3.0, 3.0, 2)
+            h = barrier_height(lat, REF_D1, REF_D2, REF_ALPHA)
+            if h is not None:
+                out.append((lat, h))
+        return out
+
+    # one ulp at 1e6 is 1.2e-10, 4e-5 of the state's length at scale 1e-6,
+    # so that cell probes 1e-4 off the barrier
+    @pytest.mark.parametrize("shift, scale, delta", [
+        (shift, scale, 1e-4 if (shift, scale) == (1e6, 1e-6) else 1e-6)
+        for shift in (0.0, 1e4, 1e6) for scale in (1.0, 1e-6, 1e-2, 1e6)])
+    def test_no_winner_flips(self, probes, shift, scale, delta):
+        offset = shift * np.array([1.0, 1.0]) / np.sqrt(2.0)
+        wrong = []
+        for lat, h in probes:
+            for factor, want in ((1.0 + delta, DEFENDERS_WIN), (1.0 - delta, ATTACKER_WINS)):
+                s = moved(ref_scenario((lat[0], lat[1], h * factor)),
+                          scale=scale, shift=offset)
+                got = evaluate_kind(s).outcome
+                if got != want:
+                    wrong.append((lat.tolist(), factor, got))
+        assert wrong == []
