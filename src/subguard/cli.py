@@ -27,7 +27,13 @@ import numpy as np
 
 from ._text import fmt as _fmt
 from .config import Tolerances
-from .degree import barrier_solution, solution_to_json, solve_dws
+from .degree import (
+    _barrier_from,
+    _dws_solution,
+    barrier_solution,
+    solution_to_json,
+    solve_dws,
+)
 from .errors import (
     AssumptionViolation,
     BudgetExceededError,
@@ -41,6 +47,7 @@ from .kind import (
     ATTACKER_WINS,
     DEFENDERS_WIN,
     ON_BARRIER,
+    _kind,
     evaluate_kind,
     mesh_to_csv,
     mesh_to_json,
@@ -66,15 +73,15 @@ def _cmd_classify(canon, xf, args) -> str:
 
 def _cmd_solve(canon, xf, args) -> str:
     tols = _tols(args)
-    outcome = evaluate_kind(canon, tols)
+    outcome, owner = _kind(canon, tols)
     if outcome.outcome == DEFENDERS_WIN:
-        sol = solve_dws(canon, tols)
+        sol = _dws_solution(canon, tols)
     elif outcome.outcome == ON_BARRIER:
-        sol = barrier_solution(canon, tols)
+        sol = _barrier_from(canon, outcome, owner)
     else:
         raise NotInDWSError(
             "attacker wins from this state; no defender saddle exists "
-            "(run simulate for oracle-guided play)")
+            "(run simulate for closed-form breach play)")
     return solution_to_json(sol, xf)
 
 

@@ -32,10 +32,17 @@ from .geometry import (
     CanonicalTransform,
     Scenario,
     _as_vector,
-    _require_canonical,
     apollonius,
 )
-from .kind import DEFENDERS_WIN, ON_BARRIER, PIECE_B3, _kind, evaluate_kind
+from .kind import (
+    DEFENDERS_WIN,
+    ON_BARRIER,
+    PIECE_B3,
+    KindOutcome,
+    _kind,
+    _length,
+    evaluate_kind,
+)
 
 CASE_ONE_EFFECTIVE = "one_effective"
 CASE_TWO_M_NONZERO = "two_effective_m12_nonzero"
@@ -64,24 +71,35 @@ def effective_defenders(scenario: Scenario,
     Otherwise both defenders matter and the minimizer sits on the seam;
     the two-defender case is labeled by the paper's split on the defenders'
     height difference, though one construction serves both labels.
-    Bottoms exactly on the other sphere count as two-effective.
+    Bottoms exactly on the other sphere count as two-effective. Both tests
+    compare lengths against ``tols.abs * L``, with ``L`` the largest
+    distance between two players, so the label does not depend on scale.
 
     Requires a defender-winning state.
     """
-    _require_canonical(scenario)
+    _require_dws(scenario, tols)
+    return _effective(scenario, tols)
+
+
+def _require_dws(scenario: Scenario, tols: Tolerances) -> None:
     if evaluate_kind(scenario, tols).outcome != DEFENDERS_WIN:
         raise NotInDWSError("state is not strictly defender-winning")
+
+
+def _effective(scenario: Scenario, tols: Tolerances) -> tuple[str, tuple[int, ...]]:
+    """``effective_defenders`` for a state already known to be
+    defender-winning."""
     ball1 = apollonius(scenario.x_a, scenario.x_d1, scenario.alpha)
     ball2 = apollonius(scenario.x_a, scenario.x_d2, scenario.alpha)
+    tol = tols.abs * _length(scenario)
     depth1 = ball2.delta - float(np.linalg.norm(ball1.bottom() - ball2.theta))
     depth2 = ball1.delta - float(np.linalg.norm(ball2.bottom() - ball1.theta))
-    if max(depth1, depth2) > tols.abs:
+    if max(depth1, depth2) > tol:
         # both cannot be strictly interior; keep the deeper one defensively
         index = 1 if depth1 >= depth2 else 2
         return CASE_ONE_EFFECTIVE, (index,)
     m12 = float(scenario.x_d1[-1] - scenario.x_d2[-1])
-    scale = 1.0 + abs(float(scenario.x_d1[-1])) + abs(float(scenario.x_d2[-1]))
-    if abs(m12) <= tols.abs * scale:
+    if abs(m12) <= tol:
         return CASE_TWO_M_ZERO, (1, 2)
     return CASE_TWO_M_NONZERO, (1, 2)
 
@@ -155,7 +173,13 @@ def solve_dws(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> DegreeSolu
     straight at the target and capture happens there simultaneously with
     the binding defenders.
     """
-    case, effective = effective_defenders(scenario, tols)
+    _require_dws(scenario, tols)
+    return _dws_solution(scenario, tols)
+
+
+def _dws_solution(scenario: Scenario, tols: Tolerances) -> DegreeSolution:
+    """``solve_dws`` for a state already known to be defender-winning."""
+    case, effective = _effective(scenario, tols)
     if case == CASE_ONE_EFFECTIVE:
         i = effective[0]
         ball = apollonius(scenario.x_a, scenario.x_d1 if i == 1 else scenario.x_d2,
@@ -163,6 +187,11 @@ def solve_dws(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> DegreeSolu
         otp = ball.bottom()
     else:
         otp = _seam_bottom(scenario, tols)
+    return _solution(scenario, case, effective, otp)
+
+
+def _solution(scenario: Scenario, case: str, effective: tuple[int, ...],
+              otp: np.ndarray) -> DegreeSolution:
     return DegreeSolution(
         case=case, effective=effective, otp=otp, value=float(otp[-1]),
         d1=_heading_or_none(scenario.x_d1, otp),
@@ -187,6 +216,12 @@ def barrier_solution(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> Deg
     if outcome.outcome != ON_BARRIER:
         raise NotOnBarrierError(
             f"state classifies as {outcome.outcome}, not on the barrier")
+    return _barrier_from(scenario, outcome, owner)
+
+
+def _barrier_from(scenario: Scenario, outcome: KindOutcome, owner: int) -> DegreeSolution:
+    """``barrier_solution`` for a state ``_kind`` put on the barrier, with
+    its outcome and piece owner."""
     if outcome.piece == PIECE_B3:
         # the seam's trace on the hyperplane: the sphere center's lateral
         # foot projected onto the bisector line a . z_lat = w
@@ -199,12 +234,7 @@ def barrier_solution(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> Deg
         x_d = scenario.x_d1 if owner == 1 else scenario.x_d2
         p_lat = apollonius(scenario.x_a, x_d, scenario.alpha).theta[:-1]
         effective = (owner,)
-    otp = np.append(p_lat, 0.0)
-    return DegreeSolution(
-        case=CASE_BARRIER, effective=effective, otp=otp, value=0.0,
-        d1=_heading_or_none(scenario.x_d1, otp),
-        d2=_heading_or_none(scenario.x_d2, otp),
-        a=_heading_or_none(scenario.x_a, otp))
+    return _solution(scenario, CASE_BARRIER, effective, np.append(p_lat, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,13 @@ def _barrier_heights(points, x_d1, x_d2, alpha: float, tols: Tolerances):
     return h2, codes, np.where(codes == 3, zeta1, gamma), np.where(codes == 3, 0, codes)
 
 
+def _length(scenario: Scenario) -> float:
+    """The state's length scale L: the largest distance between two players."""
+    return max(float(np.linalg.norm(scenario.x_d1 - scenario.x_d2)),
+               float(np.linalg.norm(scenario.x_d1 - scenario.x_a)),
+               float(np.linalg.norm(scenario.x_d2 - scenario.x_a)))
+
+
 def _kind(scenario: Scenario, tols: Tolerances) -> tuple[KindOutcome, int]:
     """Classify the attacker against the surface above it: the outcome, and
     the owner of a single-defender piece (0 on ``B3``)."""
@@ -196,11 +203,8 @@ def _kind(scenario: Scenario, tols: Tolerances) -> tuple[KindOutcome, int]:
                                               scenario.x_d2, scenario.alpha, tols)
     h2 = float(h2[0])
     gap = z * z - h2
-    length = max(float(np.linalg.norm(scenario.x_d1 - scenario.x_d2)),
-                 float(np.linalg.norm(scenario.x_d1 - x_a)),
-                 float(np.linalg.norm(scenario.x_d2 - x_a)))
     # z - h, formed without cancellation; equal to gap / z when h is absent
-    margin = gap / (z + math.sqrt(max(h2, 0.0))) / length
+    margin = gap / (z + math.sqrt(max(h2, 0.0))) / _length(scenario)
     if margin > tols.rel:
         outcome = DEFENDERS_WIN
     elif margin < -tols.rel:

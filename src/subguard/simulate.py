@@ -35,8 +35,9 @@ import numpy as np
 from ._text import fmt as _fmt, jvec as _jvec
 from .config import DEFAULT_TOLS, SIMULATE_STEP_BUDGET, Tolerances
 from .errors import BudgetExceededError, InvalidPolicyError, ScenarioFormatError
-from .geometry import Scenario, _as_vector, _require_canonical
-from .kind import ATTACKER_WINS, DEFENDERS_WIN, evaluate_kind
+from .degree import _barrier_from, _dws_solution
+from .geometry import Scenario, _as_vector, _require_canonical, apollonius
+from .kind import ATTACKER_WINS, DEFENDERS_WIN, _kind
 
 EVENT_CAPTURED = "captured"
 EVENT_ARRIVED = "arrived"
@@ -347,7 +348,7 @@ class PolicyBundle:
 
     ``saddle_optimal`` is True when the bundle realizes the saddle point
     (defender-winning or barrier states). From attacker-winning states the
-    defense has no optimal strategy; the bundle then chases the oracle's
+    defense has no optimal strategy; the bundle then chases the closed-form
     breach point and is explicitly labeled non-optimal.
     """
 
@@ -363,27 +364,54 @@ class PolicyBundle:
         return (self.d1, self.d2, self.a)
 
 
+def _breach_point(scenario: Scenario) -> np.ndarray:
+    """The hyperplane point deepest in both of the attacker's dominance discs.
+
+    Each dominance ball cuts the hyperplane in a disc with center
+    ``theta_lat`` and radius ``sqrt(delta^2 - theta_n^2)``, and the attacker
+    wins exactly when the two discs overlap. The point maximizes its smaller
+    depth in the two discs: a disc's center when that disc lies inside the
+    other, else the point of the center line halfway across the overlap.
+    Each ball is convex and holds the attacker and the point, so the
+    attacker reaches every point of its straight path there strictly first.
+    """
+    discs = []
+    for x_d in (scenario.x_d1, scenario.x_d2):
+        ball = apollonius(scenario.x_a, x_d, scenario.alpha)
+        h = abs(float(ball.theta[-1]))
+        radius2 = (ball.delta - h) * (ball.delta + h)
+        discs.append((ball.theta[:-1], math.sqrt(max(radius2, 0.0))))
+    (c1, r1), (c2, r2) = discs
+    g = float(np.linalg.norm(c2 - c1))
+    if r2 - g >= r1:
+        lat = c1
+    elif r1 - g >= r2:
+        lat = c2
+    else:
+        lat = c1 + (0.5 * (g + r1 - r2) / g) * (c2 - c1)
+    return np.append(lat, 0.0)
+
+
 def optimal_policies(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> PolicyBundle:
     """Equilibrium point policies for the scenario's winner region.
 
     Defender-winning: everyone runs at the optimal target point (the
     ineffective defender too, a deterministic tie-break among its many
     harmless choices). Barrier: everyone runs at the equal-time point on
-    the hyperplane. Attacker-winning: the attacker runs at the oracle's
-    best breach point and the defenders chase it; marked non-optimal since
-    no saddle exists for the defense there.
+    the hyperplane. Attacker-winning: the attacker runs at the point of the
+    hyperplane deepest in both traces of its dominance balls, and the
+    defenders chase it; marked non-optimal since no saddle exists for the
+    defense there. The state is classified once, and every branch is
+    closed form.
     """
-    from .degree import barrier_solution, solve_dws
-    from .oracle import oracle_aws_target
-
-    outcome = evaluate_kind(scenario, tols)
+    outcome, owner = _kind(scenario, tols)
     if outcome.outcome == DEFENDERS_WIN:
-        sol = solve_dws(scenario, tols)
+        sol = _dws_solution(scenario, tols)
         target, case, optimal = sol.otp, sol.case, True
     elif outcome.outcome == ATTACKER_WINS:
-        target, case, optimal = oracle_aws_target(scenario), ATTACKER_WINS, False
+        target, case, optimal = _breach_point(scenario), ATTACKER_WINS, False
     else:
-        sol = barrier_solution(scenario, tols)
+        sol = _barrier_from(scenario, outcome, owner)
         target, case, optimal = sol.otp, sol.case, True
     return PolicyBundle(
         d1=to_point_policy(target), d2=to_point_policy(target),

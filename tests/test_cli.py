@@ -180,6 +180,12 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "BudgetExceededError"
 
+    def test_attacker_win_above_the_oracle_cap(self, capsys, write_doc):
+        path = write_doc(padded_doc(7, REF_XA_AWS))
+        code, out, err = run_cli(capsys, ["simulate", "--scenario", path])
+        assert code == 0 and err == ""
+        assert out.strip().split("\n")[-1].endswith("arrived")
+
 
 class TestOracleCommandsAtN6:
     @pytest.mark.parametrize("cmd, x_a, last", [
@@ -311,9 +317,10 @@ class TestOutputPlumbing:
         assert code2 == 0
         assert target.read_text() == out
 
-    def test_closed_form_commands_leave_scipy_unloaded(self, ref_path):
-        # scipy serves only the oracles; the closed-form commands must not
-        # pay its import time
+    def test_closed_form_commands_leave_scipy_unloaded(self, ref_path, write_doc):
+        # scipy serves only the oracles; every command but verify, simulate
+        # from an attacker-winning state too, must not pay its import time
+        aws_path = write_doc(scenario_doc(x_a=REF_XA_AWS), name="aws.json")
         code = textwrap.dedent(f"""
             import contextlib, io, sys
             import subguard
@@ -323,10 +330,11 @@ class TestOutputPlumbing:
                 return any(m.split(".")[0] == "scipy" for m in sys.modules)
 
             loaded = [scipy_loaded()]
-            for cmd in ("classify", "solve", "barrier"):
+            for cmd, path in (("classify", {ref_path!r}), ("solve", {ref_path!r}),
+                              ("barrier", {ref_path!r}), ("simulate", {ref_path!r}),
+                              ("simulate", {aws_path!r})):
                 with contextlib.redirect_stdout(io.StringIO()):
-                    assert main([cmd, "--scenario", {ref_path!r},
-                                 "--grid-points", "5"]) == 0
+                    assert main([cmd, "--scenario", path, "--grid-points", "5"]) == 0
                 loaded.append(scipy_loaded())
             print(loaded)
             """)
@@ -334,7 +342,7 @@ class TestOutputPlumbing:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=src),
                               check=True)
-        assert proc.stdout.strip() == "[False, False, False, False]"
+        assert proc.stdout.strip() == "[False, False, False, False, False, False]"
 
     def test_deterministic_bytes(self, capsys, ref_path):
         _, first, _ = run_cli(capsys, ["verify", "--scenario", ref_path,

@@ -87,6 +87,15 @@ class TestEffectiveDefenders:
         assert case == CASE_TWO_M_ZERO
         assert eff == (1, 2)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+    def test_label_does_not_depend_on_scale(self, scale):
+        # heights 1e-7 apart, relative to a state of length about 2.5
+        s = canonical_scenario(3, scale * np.array([-1.0, 0.0, 1.0]),
+                               scale * np.array([1.0, 0.5, 1.0 + 1e-7]),
+                               scale * np.array([0.0, 0.0, 2.5]), 0.5)
+        assert effective_defenders(s) == (CASE_TWO_M_NONZERO, (1, 2))
+        assert solve_dws(s).case == CASE_TWO_M_NONZERO
+
     def test_requires_defender_winning_state(self, ref_aws):
         with pytest.raises(NotInDWSError):
             effective_defenders(ref_aws)

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import canonical_scenario, ref_scenario
+import referee
+from conftest import canonical_scenario, length, ref_scenario
 from subguard import (
     ATTACKER_WINS,
     BudgetExceededError,
@@ -23,10 +24,14 @@ from subguard import (
     trajectory_to_csv,
     trajectory_to_json,
 )
+from subguard.oracle import oracle_aws_target
 
 REF_VALUE = (13.0 - 2.0 * np.sqrt(10.0)) / 6.0
 
 simulate_module = importlib.import_module("subguard.simulate")
+kind_module = importlib.import_module("subguard.kind")
+degree_module = importlib.import_module("subguard.degree")
+oracle_module = importlib.import_module("subguard.oracle")
 
 
 def runaway_scenario():
@@ -180,8 +185,9 @@ class TestOptimalPlay:
         traj = simulate(ref_aws, bundle.triple, dt=1e-3, t_max=10.0, record=False)
         assert traj.event == EVENT_ARRIVED
         assert traj.captured_by is None
-        # straight run to the breach point at lateral 5/24
-        assert traj.t_event == pytest.approx(13.0 / 12.0, abs=1e-5)
+        # straight run to the disc-overlap point (sqrt(51)/12 - 1/2, 0, 0)
+        t_breach = 2.0 * np.sqrt((np.sqrt(51.0) / 12.0 - 0.5) ** 2 + 0.25)
+        assert traj.t_event == pytest.approx(t_breach, abs=1e-12)
 
     def test_barrier_policy_reaches_equal_time_point(self, ref_barrier):
         sol = barrier_solution(ref_barrier)
@@ -205,6 +211,92 @@ class TestOptimalPlay:
         traj = simulate(ref_dws, bundle.triple, dt=1e-3, t_max=10.0,
                         eps_capture=1e-9, record=False)
         assert traj.capture_height == pytest.approx(sol.value, abs=1e-6)
+
+
+def aws_states(rng, n, count):
+    """Seeded attacker-winning states, every other one with defender 1
+    below the hyperplane. Lateral spreads shrink as 1/sqrt(n - 1) so
+    distances stay O(1); the referee's disc overlap keeps each state clear
+    of the barrier."""
+    spread = 1.0 / np.sqrt(n - 1)
+    out = []
+    while len(out) < count:
+        alpha = float(rng.uniform(0.3, 0.8))
+        h1 = float(rng.uniform(0.2, 2.0)) * (-1.0 if len(out) % 2 else 1.0)
+        d1 = np.append(spread * rng.uniform(-2, 2, n - 1), h1)
+        d2 = np.append(spread * rng.uniform(-2, 2, n - 1), rng.uniform(0.2, 2.0))
+        a = np.append(spread * rng.uniform(-1.5, 1.5, n - 1), rng.uniform(0.1, 1.5))
+        s = canonical_scenario(n, d1, d2, a, alpha)
+        if (referee.disc_overlap(a, d1, d2, alpha) > 0.05 * length(s)
+                and min(np.linalg.norm(a - d1), np.linalg.norm(a - d2)) > 0.1):
+            out.append(s)
+    return out
+
+
+def lead(p, s):
+    """The attacker's worst-case arrival lead at ``p``, in defender-speed time."""
+    return (min(np.linalg.norm(p - s.x_d1), np.linalg.norm(p - s.x_d2))
+            - np.linalg.norm(p - s.x_a) / s.alpha)
+
+
+def assert_breaches(s):
+    """The bundle's target lies strictly inside both dominance discs, as
+    deep as any point can lie in both, and exact play there arrives
+    uncaptured. Returns the target's lead."""
+    bundle = optimal_policies(s)
+    assert bundle.case == ATTACKER_WINS and not bundle.saddle_optimal
+    p = bundle.target
+    assert p[-1] == 0.0
+    centers, radii = [], []
+    for x_d in (s.x_d1, s.x_d2):
+        ball = referee.ball(s.x_a, x_d, s.alpha)
+        centers.append(ball.theta[:-1])
+        radii.append(np.sqrt(ball.delta**2 - ball.theta[-1] ** 2))
+    depth = min(r - np.linalg.norm(p[:-1] - c) for c, r in zip(centers, radii))
+    assert depth > 0.0
+    # the best depth in both discs: a whole disc's radius, or half the overlap
+    gap = np.linalg.norm(centers[1] - centers[0])
+    best = min(radii[0], radii[1], 0.5 * (radii[0] + radii[1] - gap))
+    assert depth == pytest.approx(best, abs=1e-12 * length(s))
+    traj = simulate(s, bundle.triple, dt=1e-3, t_max=100.0, record=False)
+    assert traj.event == EVENT_ARRIVED
+    assert traj.captured_by is None
+    return lead(p, s)
+
+
+class TestBreachPoint:
+    """The closed-form breach point against the oracle's maximin search."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_breach_point_wins_and_the_oracle_referees_it(self, n):
+        for s in aws_states(np.random.default_rng(100 + n), n, 6):
+            closed = assert_breaches(s)
+            assert closed > 0.0
+            assert lead(oracle_aws_target(s), s) >= closed
+
+    @pytest.mark.parametrize("n, count", [(7, 6), (8, 6), (64, 4), (1024, 2)])
+    def test_breach_above_the_oracle_cap(self, n, count):
+        for s in aws_states(np.random.default_rng(n), n, count):
+            assert assert_breaches(s) > 0.0
+
+    @pytest.mark.parametrize("fixture", ["ref_dws", "ref_barrier", "ref_aws"])
+    def test_one_classification_and_no_search(self, request, monkeypatch, fixture):
+        s = request.getfixturevalue(fixture)
+        calls, original = [], kind_module._kind
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (kind_module, degree_module, simulate_module):
+            monkeypatch.setattr(module, "_kind", counted)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("grid search on the play path")
+
+        monkeypatch.setattr(oracle_module, "_grid_maximize", no_search)
+        optimal_policies(s)
+        assert len(calls) == 1
 
 
 class TestStepping:
