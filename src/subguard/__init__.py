@@ -31,7 +31,6 @@ from .errors import (
     CoincidentPlayersError,
     CoincidentPointsError,
     DegeneratePairError,
-    DimensionCapError,
     DimensionMismatchError,
     EmptyGridError,
     EmptyIntersectionError,

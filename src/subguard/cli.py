@@ -27,13 +27,7 @@ import numpy as np
 
 from ._text import fmt as _fmt
 from .config import Tolerances
-from .degree import (
-    _barrier_from,
-    _dws_solution,
-    barrier_solution,
-    solution_to_json,
-    solve_dws,
-)
+from .degree import _barrier_from, _dws_solution, solution_to_json
 from .errors import (
     AssumptionViolation,
     BudgetExceededError,
@@ -109,7 +103,7 @@ def _cmd_verify(canon, xf, args) -> str:
     """Cross-check the closed forms against the brute-force oracles."""
     tols = _tols(args)
     records = []
-    outcome = evaluate_kind(canon, tols)
+    outcome, owner = _kind(canon, tols)
     grid = (GridSpec(points_per_axis=args.grid_points)
             if args.grid_points is not None else None)
     probe = oracle_kind(canon, grid)
@@ -118,7 +112,7 @@ def _cmd_verify(canon, xf, args) -> str:
         f'{{"instance": "kind", "closed_form": "{outcome.outcome}", '
         f'"oracle": "{probe.label}", "abs_diff": null, "agree": {agree}}}')
     if outcome.outcome == DEFENDERS_WIN:
-        sol = solve_dws(canon, tols)
+        sol = _dws_solution(canon, tols)
         _, floor = oracle_min_boundary_height(canon)
         diff = abs(sol.value - floor)
         agree = "true" if diff <= 1e-6 else "false"
@@ -126,7 +120,7 @@ def _cmd_verify(canon, xf, args) -> str:
             f'{{"instance": "degree_value", "closed_form": {_fmt(sol.value)}, '
             f'"oracle": {_fmt(floor)}, "abs_diff": {_fmt(diff)}, "agree": {agree}}}')
     elif outcome.outcome == ON_BARRIER:
-        sol = barrier_solution(canon, tols)
+        sol = _barrier_from(canon, outcome, owner)
         leads = [f_value(sol.otp, canon.x_a, x_d, canon.alpha)
                  for x_d in (canon.x_d1, canon.x_d2)]
         # binding defenders tie the attacker exactly on the barrier

@@ -32,9 +32,8 @@ class Tolerances:
 
 DEFAULT_TOLS = Tolerances()
 
-# Brute-force oracle limits: per-round grid evaluations and search dimension.
+# Brute-force oracle limit: grid evaluations per refinement round.
 ORACLE_EVAL_BUDGET = 21 ** 4
-ORACLE_MAX_DIM = 6
 
 # Barrier sampling limit: lateral grid nodes per mesh (101 per axis at n = 4).
 BARRIER_NODE_BUDGET = 101 ** 3

@@ -76,7 +76,7 @@ class NotCanonicalError(SubguardError):
 
 
 class NumericalDegeneracyError(SubguardError):
-    """A root extraction or projection lost too much precision to trust."""
+    """A root extraction, projection or oracle search overflowed or lost precision."""
 
 
 class EmptyGridError(SubguardError):
@@ -101,10 +101,6 @@ class BudgetExceededError(SubguardError):
     Like :class:`EmptyGridError`, it blames the caller's input: the grid
     size, or a step ``dt`` too small for the run.
     """
-
-
-class DimensionCapError(SubguardError):
-    """Brute-force oracle invoked above its supported dimension."""
 
 
 class InvalidPolicyError(SubguardError):

@@ -9,7 +9,10 @@ solver is tested against.
 Search strategy shared by the grid oracles: a coarse axis-aligned grid over
 a provably sufficient box, repeatedly reshrunk by 0.2 around the incumbent,
 then a short Nelder-Mead polish. Deterministic throughout (fixed seeds,
-fixed budgets), so oracle answers are reproducible bit for bit.
+fixed budgets), so oracle answers are reproducible bit for bit. Every
+objective depends only on heights and on distances to points over the
+players' lateral span, so above n = 4 each oracle searches the exact n = 4
+image of the state (:func:`_reduce`): at most 3 lateral axes at any n.
 
 scipy is imported inside the functions that call it, so importing this
 module (and with it the package) does not load scipy.
@@ -21,16 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, ORACLE_EVAL_BUDGET, ORACLE_MAX_DIM
+from .config import DEFAULT_TOLS, ORACLE_EVAL_BUDGET
 from .errors import (
     BudgetExceededError,
-    DimensionCapError,
     EmptyGridError,
     EmptyIntersectionError,
     NotOnTargetHyperplaneError,
     NoWinningPointError,
+    NumericalDegeneracyError,
 )
-from .geometry import Scenario, _as_vector, _require_canonical, apollonius
+from .geometry import Hyperplane, Scenario, _as_vector, _require_canonical, apollonius
 
 _SHRINK = 0.2
 _POLISH_MAXITER = 200
@@ -38,22 +41,18 @@ _POLISH_MAXITER = 200
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search box and refinement schedule for the hyperplane oracles.
+    """Refinement schedule for the hyperplane oracles.
 
-    ``center`` (lateral coordinates) and ``half_width`` bound the initial
-    box; None lets each oracle derive a covering box from the scenario.
-    Each refinement round recenters on the incumbent and shrinks the
-    half-width by 0.2. ``points_per_axis ** dim`` evaluations are spent per
-    round and must stay within ``budget``. An oracle called without a grid
-    uses this default with ``points_per_axis`` lowered, if need be, to the
-    largest count whose round fits the budget: 21 up to n = 5, 11 at n = 6.
+    Each oracle searches a box around the attacker's foot point that surely
+    holds the maximizer, over at most 3 lateral axes at any n. Each
+    refinement round recenters on the incumbent and shrinks the half-width
+    by 0.2. A round spends ``points_per_axis ** dim`` evaluations, which
+    must stay within ``ORACLE_EVAL_BUDGET`` = 21^4: at most 57 points per
+    axis on 3 axes.
     """
 
-    center: np.ndarray | None = None
-    half_width: float | None = None
     points_per_axis: int = 21
     refinement_rounds: int = 5
-    budget: int = ORACLE_EVAL_BUDGET
 
     def __post_init__(self):
         if self.points_per_axis < 3:
@@ -62,24 +61,51 @@ class GridSpec:
         if self.refinement_rounds < 0:
             raise EmptyGridError(
                 f"refinement_rounds must be >= 0, got {self.refinement_rounds}")
-        if self.half_width is not None and self.half_width <= 0:
-            raise EmptyGridError(f"half_width must be positive, got {self.half_width}")
 
 
-def _default_grid(dim: int) -> GridSpec:
-    """The default GridSpec with the most points per axis (at most its 21)
-    whose ``dim``-dimensional round fits its budget."""
-    spec = GridSpec()
-    k = spec.points_per_axis
-    while k ** dim > spec.budget:
-        k -= 1
-    return GridSpec(points_per_axis=k)
+def _lateral_basis(offsets) -> np.ndarray:
+    """Orthonormal columns, ``(n - 1) x 3``, spanning every offset: Gram-Schmidt
+    (twice per vector, so near dependence keeps them orthogonal) over the
+    offsets, then the coordinate axes, skipping any within 1e-12 of the span."""
+    cols = []
+    for v in (*offsets, *np.eye(3, offsets[0].shape[0])):
+        top = float(np.max(np.abs(v)))
+        if top == 0.0 or len(cols) == 3:
+            continue
+        v = v / top  # so that the norm neither overflows nor underflows
+        v = v / np.linalg.norm(v)
+        for _ in range(2):
+            for q in cols:
+                v = v - (q @ v) * q
+        size = float(np.linalg.norm(v))
+        if size > 1e-12:
+            cols.append(v / size)
+    return np.stack(cols, axis=1)
 
 
-def _check_dim(n: int):
-    if n > ORACLE_MAX_DIM:
-        raise DimensionCapError(
-            f"brute-force oracles support n <= {ORACLE_MAX_DIM}, got n={n}")
+def _lateral_frame(x_a, *others):
+    """The players as n = 4 points ``(B^T (x_lat - a_lat), x_n)``, attacker
+    first, and the lift ``p -> (a_lat + B p_lat, p_n)``; at n <= 4, the
+    players as given and the identity."""
+    if x_a.shape[0] <= 4:
+        return [x_a, *others], lambda p: p
+    a_lat = x_a[:-1]
+    players = (x_a, *others)
+    offsets = [x[:-1] - a_lat for x in players]
+    if not np.all(np.isfinite(offsets)):
+        raise NumericalDegeneracyError("lateral offsets overflow the float range")
+    B = _lateral_basis(offsets)
+    return ([np.append(B.T @ v, x[-1]) for v, x in zip(offsets, players)],
+            lambda p: np.append(a_lat + B @ p[:-1], p[-1]))
+
+
+def _reduce(scenario: Scenario):
+    """The n = 4 image of a canonical scenario and its lift (itself at n <= 4)."""
+    (x_a, x_d1, x_d2), lift = _lateral_frame(scenario.x_a, scenario.x_d1, scenario.x_d2)
+    if scenario.n <= 4:
+        return scenario, lift
+    return Scenario(n=4, hyperplane=Hyperplane(K=(0.0, 0.0, 0.0, 1.0), b=0.0),
+                    x_d1=x_d1, x_d2=x_d2, x_a=x_a, alpha=scenario.alpha), lift
 
 
 def _grid_pair_dists(points, defenders, attacker):
@@ -127,10 +153,10 @@ def _grid_maximize(batch_fn, dim: int, center, half_width: float, spec: GridSpec
     from scipy.optimize import minimize
 
     per_round = spec.points_per_axis ** dim
-    if per_round > spec.budget:
+    if per_round > ORACLE_EVAL_BUDGET:
         raise BudgetExceededError(
             f"{spec.points_per_axis}^{dim} = {per_round} evaluations per round "
-            f"exceed budget {spec.budget}")
+            f"exceed budget {ORACLE_EVAL_BUDGET}")
     center = np.array(center, dtype=float)
     hw = float(half_width)
     best_x, best_v = None, -np.inf
@@ -144,6 +170,8 @@ def _grid_maximize(batch_fn, dim: int, center, half_width: float, spec: GridSpec
         if vals[k] > best_v:
             best_v = float(vals[k])
             best_x = pts[k].copy()
+        if best_x is None:
+            raise NumericalDegeneracyError("no grid point has a finite objective value")
         center = best_x
         hw *= _SHRINK
 
@@ -185,18 +213,16 @@ def oracle_otp_1v1(x_a, x_d, alpha: float, grid: GridSpec | None = None):
     """
     x_a = _as_vector(x_a, name="attacker position")
     x_d = _as_vector(x_d, n=x_a.shape[0], name="defender position")
-    _check_dim(x_a.shape[0])
-    grid = grid or _default_grid(x_a.shape[0] - 1)
-    center = grid.center if grid.center is not None else x_a[:-1]
-    hw = grid.half_width if grid.half_width is not None else _covering_radius(
-        x_a, [x_d], alpha)
+    (x_a, x_d), lift = _lateral_frame(x_a, x_d)
+    grid = grid or GridSpec()
+    hw = _covering_radius(x_a, [x_d], alpha)
 
     def batch(pts):
         dd, da = _grid_single_dists(pts, x_d, x_a)
         return dd - da / alpha
 
-    lat, val = _grid_maximize(batch, x_a.shape[0] - 1, center, hw, grid)
-    return _full_point(lat), val
+    lat, val = _grid_maximize(batch, x_a.shape[0] - 1, x_a[:-1], hw, grid)
+    return lift(_full_point(lat)), val
 
 
 @dataclass(frozen=True)
@@ -218,25 +244,23 @@ def oracle_kind(scenario: Scenario, grid: GridSpec | None = None,
     (defenders win). Verdicts inside ``margin`` are inconclusive.
     """
     _require_canonical(scenario)
-    _check_dim(scenario.n)
-    grid = grid or _default_grid(scenario.n - 1)
+    scenario, lift = _reduce(scenario)
+    grid = grid or GridSpec()
     defenders = np.stack([scenario.x_d1, scenario.x_d2])
-    center = grid.center if grid.center is not None else scenario.x_a[:-1]
-    hw = grid.half_width if grid.half_width is not None else _covering_radius(
-        scenario.x_a, [scenario.x_d1, scenario.x_d2], scenario.alpha)
+    hw = _covering_radius(scenario.x_a, defenders, scenario.alpha)
 
     def batch(pts):
         min_dd, da = _grid_pair_dists(pts, defenders, scenario.x_a)
         return scenario.alpha * min_dd - da
 
-    lat, val = _grid_maximize(batch, scenario.n - 1, center, hw, grid)
+    lat, val = _grid_maximize(batch, scenario.n - 1, scenario.x_a[:-1], hw, grid)
     if val > margin:
         label = "attacker_wins"
     elif val < -margin:
         label = "defenders_win"
     else:
         label = "inconclusive"
-    return KindProbe(label=label, point=_full_point(lat), value=val)
+    return KindProbe(label=label, point=lift(_full_point(lat)), value=val)
 
 
 def oracle_aws_target(scenario: Scenario, grid: GridSpec | None = None) -> np.ndarray:
@@ -249,22 +273,20 @@ def oracle_aws_target(scenario: Scenario, grid: GridSpec | None = None) -> np.nd
     lead (the defenders can cover everything).
     """
     _require_canonical(scenario)
-    _check_dim(scenario.n)
-    grid = grid or _default_grid(scenario.n - 1)
+    scenario, lift = _reduce(scenario)
+    grid = grid or GridSpec()
     defenders = np.stack([scenario.x_d1, scenario.x_d2])
-    center = grid.center if grid.center is not None else scenario.x_a[:-1]
-    hw = grid.half_width if grid.half_width is not None else _covering_radius(
-        scenario.x_a, [scenario.x_d1, scenario.x_d2], scenario.alpha)
+    hw = _covering_radius(scenario.x_a, defenders, scenario.alpha)
 
     def batch(pts):
         min_dd, da = _grid_pair_dists(pts, defenders, scenario.x_a)
         return min_dd - da / scenario.alpha
 
-    lat, val = _grid_maximize(batch, scenario.n - 1, center, hw, grid)
+    lat, val = _grid_maximize(batch, scenario.n - 1, scenario.x_a[:-1], hw, grid)
     if val <= 0.0:
         raise NoWinningPointError(
             f"no hyperplane point is reachable strictly first (best lead {val})")
-    return _full_point(lat)
+    return lift(_full_point(lat))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +331,7 @@ def oracle_min_boundary_height(scenario: Scenario) -> tuple[np.ndarray, float]:
     regardless of which defenders are effective.
     """
     _require_canonical(scenario)
-    _check_dim(scenario.n)
+    scenario, lift = _reduce(scenario)
     ball1 = apollonius(scenario.x_a, scenario.x_d1, scenario.alpha)
     ball2 = apollonius(scenario.x_a, scenario.x_d2, scenario.alpha)
     candidates = []
@@ -325,7 +347,7 @@ def oracle_min_boundary_height(scenario: Scenario) -> tuple[np.ndarray, float]:
     if not candidates:
         raise EmptyIntersectionError("dominance region has no boundary candidates")
     best = min(candidates, key=lambda p: float(p[-1]))
-    return np.array(best), float(best[-1])
+    return lift(np.array(best)), float(best[-1])
 
 
 def oracle_otp_dws(scenario: Scenario, rounds: int = 5,
@@ -343,7 +365,7 @@ def oracle_otp_dws(scenario: Scenario, rounds: int = 5,
     from scipy.optimize import minimize
 
     _require_canonical(scenario)
-    _check_dim(scenario.n)
+    scenario, lift = _reduce(scenario)
     c, rho, W = _seam_chart(scenario)
     d = W.shape[1]
 
@@ -356,7 +378,7 @@ def oracle_otp_dws(scenario: Scenario, rounds: int = 5,
     if d == 1:
         us = [np.array([1.0]), np.array([-1.0])]
         u_best = min(us, key=height)
-        return point(u_best), height(u_best)
+        return lift(point(u_best)), height(u_best)
 
     rng = np.random.default_rng(20240817)
     cand = rng.standard_normal((coarse_samples, d))
@@ -393,4 +415,4 @@ def oracle_otp_dws(scenario: Scenario, rounds: int = 5,
         u = u_best + tangent @ res.x
         u_best = u / np.linalg.norm(u)
         v_best = float(res.fun)
-    return point(u_best), height(u_best)
+    return lift(point(u_best)), height(u_best)

@@ -19,6 +19,9 @@ from subguard.cli import main
 REF_VALUE = (13.0 - 2.0 * np.sqrt(10.0)) / 6.0
 
 simulate_module = importlib.import_module("subguard.simulate")
+kind_module = importlib.import_module("subguard.kind")
+degree_module = importlib.import_module("subguard.degree")
+cli_module = importlib.import_module("subguard.cli")
 
 
 def scenario_doc(x_a=REF_XA_DWS, hyperplane=None, alpha=REF_ALPHA, n=3,
@@ -194,13 +197,21 @@ class TestOracleCommandsAtN6:
         pytest.param("verify", REF_XA_DWS, "degree_value", id="verify-dws"),
     ])
     def test_default_grid_fits_the_budget(self, capsys, write_doc, cmd, x_a, last):
-        # without --grid-points the oracles shrink their grid to the budget
+        # the oracles search at most 3 lateral axes, so the default 21 points
+        # per axis fit the budget at any n
         path = write_doc(padded_doc(6, x_a))
         code, out, err = run_cli(capsys, [cmd, "--scenario", path])
         assert code == 0 and err == ""
         if cmd == "verify":
             assert all(r["agree"] is True for r in json.loads(out))
         assert last in out.strip().split("\n")[-1]
+
+    def test_21_grid_points(self, capsys, write_doc):
+        path = write_doc(padded_doc(6))
+        code, out, err = run_cli(capsys, ["verify", "--scenario", path,
+                                          "--grid-points", "21"])
+        assert code == 0 and err == ""
+        assert all(r["agree"] is True for r in json.loads(out))
 
 
 class TestVerify:
@@ -224,6 +235,42 @@ class TestVerify:
         records = json.loads(out)
         assert [r["instance"] for r in records] == ["kind", "degree_value"]
         assert all(r["agree"] is True for r in records)
+
+    @pytest.mark.parametrize("fixture", ["ref_dws", "ref_barrier"])
+    def test_one_classification(self, capsys, request, monkeypatch, write_doc, fixture):
+        path = write_doc(scenario_doc(x_a=tuple(request.getfixturevalue(fixture).x_a)))
+        calls, original = [], kind_module._kind
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (kind_module, degree_module, cli_module):
+            monkeypatch.setattr(module, "_kind", counted)
+        code, out, _ = run_cli(capsys, ["verify", "--scenario", path,
+                                        "--grid-points", "15"])
+        assert code == 0 and len(json.loads(out)) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [7, 64, 1024])
+    def test_any_dimension(self, capsys, write_doc, n):
+        path = write_doc(padded_doc(n))
+        code, out, err = run_cli(capsys, ["verify", "--scenario", path])
+        assert code == 0 and err == ""
+        records = json.loads(out)
+        assert [r["instance"] for r in records] == ["kind", "degree_value"]
+        assert all(r["agree"] is True for r in records)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_finite_grid_value_exits_3(self, capsys, write_doc):
+        # at this scale every squared distance overflows, so no grid value
+        # of the kind oracle is finite
+        path = write_doc(scenario_doc(d1=(-1e200, 0.0, 1e200), d2=(1e200, 0.0, 1.5e200),
+                                      x_a=(0.0, 0.0, 2e200)))
+        code, out, err = run_cli(capsys, ["verify", "--scenario", path])
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "NumericalDegeneracyError"
 
     def test_aws_verifies_kind_only(self, capsys, write_doc):
         path = write_doc(scenario_doc(x_a=REF_XA_AWS))
@@ -269,7 +316,7 @@ class TestFailureModes:
         pytest.param("verify", "500", 3, "BudgetExceededError", id="verify-500"),
         pytest.param("barrier", "100000", 5, "BudgetExceededError",
                      id="barrier-100000-n5"),
-        pytest.param("verify", "21", 6, "BudgetExceededError", id="verify-21-n6"),
+        pytest.param("verify", "77", 6, "BudgetExceededError", id="verify-77-n6"),
     ])
     def test_bad_grid_points_exits_2(self, capsys, write_doc, cmd, points, n, error):
         path = write_doc(padded_doc(n))

@@ -38,7 +38,7 @@ from subguard import (
     solution_to_json,
     solve_dws,
 )
-from subguard.oracle import f_value, oracle_min_boundary_height
+from subguard.oracle import f_value, oracle_kind, oracle_min_boundary_height
 
 # closed-form value of the reference defender-winning instance
 REF_VALUE = (13.0 - 2.0 * np.sqrt(10.0)) / 6.0
@@ -282,8 +282,8 @@ class TestSymmetries:
 
 
 class TestAboveTheOracleCap:
-    """The closed forms against the referee's Apollonius-ball answers in
-    dimensions the grid oracles cannot reach."""
+    """The closed forms and the brute-force oracles against the referee's
+    Apollonius-ball answers in high dimensions."""
 
     @staticmethod
     def states(rng, n, count):
@@ -305,12 +305,17 @@ class TestAboveTheOracleCap:
     def test_outcome_and_value_match_the_referee(self, n, count):
         rng = np.random.default_rng(n)
         outcomes = set()
-        for s in self.states(rng, n, count):
+        for k, s in enumerate(self.states(rng, n, count)):
             args = (s.x_a, s.x_d1, s.x_d2, s.alpha)
             outcome = evaluate_kind(s).outcome
             assert outcome == referee.outcome(*args)
             outcomes.add(outcome)
+            if k < 4:
+                assert oracle_kind(s).label == outcome
             if outcome == DEFENDERS_WIN:
-                value = solve_dws(s).value
-                assert abs(value - referee.lowest_point(*args).value) <= 1e-9 * length(s)
+                floor = referee.lowest_point(*args).value
+                assert abs(solve_dws(s).value - floor) <= 1e-9 * length(s)
+                if k < 4:
+                    _, h = oracle_min_boundary_height(s)
+                    assert abs(h - floor) <= 1e-9 * length(s)
         assert len(outcomes) == 2

@@ -1,16 +1,22 @@
 """Brute-force search oracles: direct checks and cross-validation."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from conftest import canonical_scenario, rand_two_effective, ref_scenario
+import referee
+from conftest import canonical_scenario, length, rand_two_effective, ref_scenario
 from subguard import (
+    ATTACKER_WINS,
+    DEFENDERS_WIN,
     BudgetExceededError,
-    DimensionCapError,
     EmptyGridError,
     EmptyIntersectionError,
     NotOnTargetHyperplaneError,
     NoWinningPointError,
+    NumericalDegeneracyError,
+    evaluate_kind,
     solve_dws,
 )
 from subguard.oracle import (
@@ -22,6 +28,8 @@ from subguard.oracle import (
     oracle_otp_1v1,
     oracle_otp_dws,
 )
+
+oracle_module = importlib.import_module("subguard.oracle")
 
 
 class TestFValue:
@@ -94,18 +102,27 @@ class TestOracleKind:
         for x_d in (ref_aws.x_d1, ref_aws.x_d2):
             assert f_value(probe.point, ref_aws.x_a, x_d, ref_aws.alpha) > 0.0
 
-    def test_dimension_cap(self):
-        s = canonical_scenario(7, (1.0,) * 6 + (0.5,), (-1.0,) * 6 + (0.5,),
-                               (0.0,) * 6 + (1.0,), 0.5)
-        with pytest.raises(DimensionCapError):
-            oracle_kind(s)
+    def test_any_dimension(self):
+        # above n = 4 the search runs in the exact n = 4 frame, so the
+        # verdict is the closed form's at any n
+        labels = []
+        for n in (7, 64):
+            lat = np.full(n - 1, (n - 1) ** -0.5)  # defenders 1 off the attacker
+            for a_n in (0.5, 3.0):
+                s = canonical_scenario(n, np.append(lat, 0.5), np.append(-lat, 0.5),
+                                       np.append(0.0 * lat, a_n), 0.5)
+                probe = oracle_kind(s)
+                assert probe.label == evaluate_kind(s).outcome
+                assert probe.point.shape == (n,) and probe.point[-1] == 0.0
+                labels.append(probe.label)
+        assert labels == ["attacker_wins", "defenders_win"] * 2
 
     def test_budget_guard(self):
         s = canonical_scenario(6, (1.0,) * 5 + (0.5,), (-1.0,) * 5 + (0.5,),
                                (0.0,) * 5 + (1.0,), 0.5)
+        # 77^3 = 456533 evaluations on the 3 reduced axes exceed 21^4
         with pytest.raises(BudgetExceededError):
-            oracle_kind(s, GridSpec(points_per_axis=21))
-        # shrinking the per-axis count brings 5 lateral axes inside budget
+            oracle_kind(s, GridSpec(points_per_axis=77))
         probe = oracle_kind(s, GridSpec(points_per_axis=9, refinement_rounds=1))
         assert probe.label in ("defenders_win", "attacker_wins", "inconclusive")
 
@@ -114,8 +131,6 @@ class TestOracleKind:
             GridSpec(points_per_axis=2)
         with pytest.raises(EmptyGridError):
             GridSpec(refinement_rounds=-1)
-        with pytest.raises(EmptyGridError):
-            GridSpec(half_width=0.0)
 
 
 class TestAwsTarget:
@@ -175,3 +190,94 @@ class TestSeamSearch:
         sol = solve_dws(s)
         _, h = oracle_otp_dws(s)
         assert h == pytest.approx(sol.value, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_agreement_above_four_dimensions(self, n):
+        rng = np.random.default_rng(31 + n)
+        for want_zero in (False, True):
+            s = rand_two_effective(rng, want_zero, n=n)
+            sol = solve_dws(s)
+            pt, h = oracle_otp_dws(s)
+            assert h == pytest.approx(sol.value, abs=1e-7)
+            np.testing.assert_allclose(pt, sol.otp, atol=1e-6)
+
+
+def spread_state(n, d1_lat, d2_lat, heights):
+    """An n-D state whose lateral offsets from the attacker are the given
+    2-D ones laid along two random orthonormal lateral directions, with the
+    attacker's foot shifted off the origin."""
+    rng = np.random.default_rng(0)
+    frame, _ = np.linalg.qr(rng.standard_normal((n - 1, 2)))
+    foot = rng.uniform(-1.0, 1.0, n - 1)
+    d1 = np.append(foot + frame @ d1_lat, heights[0])
+    d2 = np.append(foot + frame @ d2_lat, heights[1])
+    return canonical_scenario(n, d1, d2, np.append(foot, heights[2]), 0.5)
+
+
+class TestAboveFourDimensions:
+    """Above n = 4 the oracles search the exact n = 4 frame of the state."""
+
+    @pytest.mark.parametrize("d1_lat, d2_lat, heights", [
+        pytest.param((0.0, 0.0), (0.0, 0.0), (1.0, -1.5, 2.0), id="stacked"),
+        pytest.param((1.0, 0.0), (-2.0, 0.0), (1.5, 1.0, 2.0), id="collinear"),
+    ])
+    def test_degenerate_offsets(self, d1_lat, d2_lat, heights):
+        s = spread_state(7, np.array(d1_lat), np.array(d2_lat), heights)
+        args = (s.x_a, s.x_d1, s.x_d2, s.alpha)
+        assert evaluate_kind(s).outcome == referee.outcome(*args) == DEFENDERS_WIN
+        assert oracle_kind(s).label == DEFENDERS_WIN
+        pt, h = oracle_min_boundary_height(s)
+        lowest = referee.lowest_point(*args)
+        assert abs(h - lowest.value) <= 1e-9 * length(s)
+        np.testing.assert_allclose(pt, lowest.point, atol=1e-6 * length(s))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_offsets_are_named(self):
+        # defender 1 sits 2e308 from the attacker's foot, past the float range
+        pad = (0.0,) * 3
+        s = canonical_scenario(5, (-1e308,) + pad + (1.0,), (1.0,) + pad + (1.5,),
+                               (1e308,) + pad + (2.0,), 0.5)
+        with pytest.raises(NumericalDegeneracyError, match="offsets overflow"):
+            oracle_kind(s)
+
+    def test_no_search_scales_with_n(self, monkeypatch):
+        # at n = 1024 every grid searches at most 3 lateral axes, every seam
+        # chart is built at n = 4, and the one lateral basis is 1023 x 3
+        n = 1024
+        seen = []
+
+        def spy(name, check):
+            original = getattr(oracle_module, name)
+
+            def wrapped(*args, **kwargs):
+                out = original(*args, **kwargs)
+                seen.append(name)
+                check(args, out)
+                return out
+            monkeypatch.setattr(oracle_module, name, wrapped)
+
+        def grid_check(args, out):
+            assert args[1] <= 3 and out[0].shape[0] <= 3
+
+        def seam_check(args, out):
+            assert args[0].n == 4 and out[2].shape == (4, 3)
+
+        def basis_check(args, out):
+            assert out.shape == (n - 1, 3)
+
+        spy("_grid_maximize", grid_check)
+        spy("_seam_chart", seam_check)
+        spy("_lateral_basis", basis_check)
+        dws = spread_state(n, np.array([1.0, 0.0]), np.array([-0.5, 1.0]), (1.0, 1.5, 2.0))
+        aws = spread_state(n, np.array([1.0, 0.0]), np.array([-0.5, 1.0]), (1.0, 1.5, 0.3))
+        assert evaluate_kind(dws).outcome == DEFENDERS_WIN
+        assert evaluate_kind(aws).outcome == ATTACKER_WINS
+        assert oracle_kind(dws).label == DEFENDERS_WIN
+        assert oracle_aws_target(aws).shape == (n,)
+        _, h = oracle_min_boundary_height(dws)
+        assert h == pytest.approx(solve_dws(dws).value, abs=1e-9)
+        assert oracle_otp_dws(dws)[0].shape == (n,)
+        assert oracle_otp_1v1(aws.x_a, aws.x_d1, aws.alpha)[0].shape == (n,)
+        assert seen.count("_grid_maximize") == 3
+        assert seen.count("_seam_chart") == 2
+        assert seen.count("_lateral_basis") == 5

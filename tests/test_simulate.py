@@ -277,7 +277,9 @@ class TestBreachPoint:
     @pytest.mark.parametrize("n, count", [(7, 6), (8, 6), (64, 4), (1024, 2)])
     def test_breach_above_the_oracle_cap(self, n, count):
         for s in aws_states(np.random.default_rng(n), n, count):
-            assert assert_breaches(s) > 0.0
+            closed = assert_breaches(s)
+            assert closed > 0.0
+            assert lead(oracle_aws_target(s), s) >= closed
 
     @pytest.mark.parametrize("fixture", ["ref_dws", "ref_barrier", "ref_aws"])
     def test_one_classification_and_no_search(self, request, monkeypatch, fixture):
