@@ -38,6 +38,7 @@ from .errors import (
     CoincidentDefendersError,
     DegeneratePairError,
     EmptyGridError,
+    NumericalDegeneracyError,
 )
 from .geometry import (
     PairGeometry,
@@ -203,8 +204,15 @@ def _kind(scenario: Scenario, tols: Tolerances) -> tuple[KindOutcome, int]:
                                               scenario.x_d2, scenario.alpha, tols)
     h2 = float(h2[0])
     gap = z * z - h2
+    length = _length(scenario)
+    if not 0.0 < length < math.inf:
+        raise NumericalDegeneracyError(f"length scale {length} is outside the float range")
     # z - h, formed without cancellation; equal to gap / z when h is absent
-    margin = gap / (z + math.sqrt(max(h2, 0.0))) / _length(scenario)
+    margin = gap / (z + math.sqrt(max(h2, 0.0))) / length
+    form_value = float(coef[0]) * gap
+    if not (math.isfinite(margin) and math.isfinite(form_value)):
+        raise NumericalDegeneracyError(
+            f"barrier margin {margin} or form value {form_value} is not finite")
     if margin > tols.rel:
         outcome = DEFENDERS_WIN
     elif margin < -tols.rel:
@@ -212,7 +220,7 @@ def _kind(scenario: Scenario, tols: Tolerances) -> tuple[KindOutcome, int]:
     else:
         outcome = ON_BARRIER
     return (KindOutcome(outcome=outcome, piece=_PIECE_BY_CODE[int(codes[0])],
-                        form_value=float(coef[0]) * gap, margin=margin),
+                        form_value=form_value, margin=margin),
             int(owner[0]))
 
 

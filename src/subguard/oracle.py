@@ -13,9 +13,6 @@ fixed budgets), so oracle answers are reproducible bit for bit. Every
 objective depends only on heights and on distances to points over the
 players' lateral span, so above n = 4 each oracle searches the exact n = 4
 image of the state (:func:`_reduce`): at most 3 lateral axes at any n.
-
-scipy is imported inside the functions that call it, so importing this
-module (and with it the package) does not load scipy.
 """
 
 from __future__ import annotations
@@ -144,14 +141,83 @@ def _covering_radius(x_a, defenders, alpha: float) -> float:
     return 1.05 * max(r, 1e-6)
 
 
+def _nelder_mead(f, x0):
+    """Minimize ``f`` from ``x0`` by the Nelder-Mead simplex; returns
+    ``(x, f(x))``.
+
+    Reflection 1, expansion 2, contraction and shrink 0.5; the first simplex
+    is ``x0`` and ``x0`` with one coordinate scaled by 1.05 (set to 0.00025
+    when zero). Stops once every vertex is within 1e-13 of the best and every
+    value within 1e-15 of its value, or when the iteration count, from 1,
+    reaches 200. Each call of ``f`` gets a copy of its point.
+    """
+    def value(x):
+        fx = f(np.copy(x))
+        return fx if np.isscalar(fx) else np.asarray(fx).item()
+
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.shape[0]
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        sim[k + 1] = x0
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([value(x) for x in sim], dtype=float)
+    order = np.argsort(fsim)  # twice: a tie may move again in the second sort
+    sim, fsim = sim[order], fsim[order]
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+
+    iterations = 1
+    while iterations < _POLISH_MAXITER:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-13
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-15):
+            break
+        xbar = sim[:-1].sum(axis=0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = value(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = value(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = value(xc)
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = value(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = value(sim[j])
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], float(np.min(fsim))
+
+
+def _null_space(a) -> np.ndarray:
+    """Orthonormal columns spanning the null space of ``a``: the right singular
+    vectors past its rank, which counts the singular values above
+    ``s.max() * eps * max(a.shape)``."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > s.max(initial=0.0) * (np.finfo(float).eps * max(a.shape))))
+    return vh[rank:].T
+
+
 def _grid_maximize(batch_fn, dim: int, center, half_width: float, spec: GridSpec):
     """Maximize ``batch_fn`` over a refining grid; returns (point, value).
 
     The incumbent is monotone: each round keeps the best point seen so far,
     and the polish only replaces it on strict improvement.
     """
-    from scipy.optimize import minimize
-
     per_round = spec.points_per_axis ** dim
     if per_round > ORACLE_EVAL_BUDGET:
         raise BudgetExceededError(
@@ -175,12 +241,10 @@ def _grid_maximize(batch_fn, dim: int, center, half_width: float, spec: GridSpec
         center = best_x
         hw *= _SHRINK
 
-    res = minimize(lambda x: -batch_fn(x[None, :])[0], best_x,
-                   method="Nelder-Mead",
-                   options={"maxiter": _POLISH_MAXITER, "xatol": 1e-13, "fatol": 1e-15})
-    if -res.fun > best_v:
-        best_v = float(-res.fun)
-        best_x = np.asarray(res.x, dtype=float)
+    x, fun = _nelder_mead(lambda x: -batch_fn(x[None, :])[0], best_x)
+    if -fun > best_v:
+        best_v = float(-fun)
+        best_x = x
     return best_x, best_v
 
 
@@ -301,8 +365,6 @@ def _seam_chart(scenario: Scenario):
     ``(c, rho, W)`` with ``W`` an orthonormal basis (columns) of the bisector
     directions, so seam points are ``c + rho * W @ u`` for unit ``u``.
     """
-    from scipy.linalg import null_space
-
     ball1 = apollonius(scenario.x_a, scenario.x_d1, scenario.alpha)
     ball2 = apollonius(scenario.x_a, scenario.x_d2, scenario.alpha)
     gap = float(np.linalg.norm(ball1.theta - ball2.theta))
@@ -316,7 +378,7 @@ def _seam_chart(scenario: Scenario):
     if rho2 < 0.0:
         raise EmptyIntersectionError("bisector plane misses the dominance sphere")
     c = ball1.theta - (d_signed / np.sqrt(nn)) * nu
-    W = null_space(nu[None, :])
+    W = _null_space(nu[None, :])
     return c, float(np.sqrt(max(rho2, 0.0))), W
 
 
@@ -361,9 +423,6 @@ def oracle_otp_dws(scenario: Scenario, rounds: int = 5,
     round, then a Nelder-Mead polish. In the plane the seam is just two
     points and both are checked directly.
     """
-    from scipy.linalg import null_space
-    from scipy.optimize import minimize
-
     _require_canonical(scenario)
     scenario, lift = _reduce(scenario)
     c, rho, W = _seam_chart(scenario)
@@ -390,7 +449,7 @@ def oracle_otp_dws(scenario: Scenario, rounds: int = 5,
 
     half = 0.5
     for _ in range(rounds):
-        tangent = null_space(u_best[None, :])
+        tangent = _null_space(u_best[None, :])
         axes = [np.linspace(-half, half, 9)] * (d - 1)
         mesh = np.meshgrid(*axes, indexing="ij")
         xi = np.stack([g.ravel() for g in mesh], axis=1)
@@ -403,16 +462,15 @@ def oracle_otp_dws(scenario: Scenario, rounds: int = 5,
             u_best = us[k].copy()
         half *= _SHRINK
 
-    tangent = null_space(u_best[None, :])
+    tangent = _null_space(u_best[None, :])
 
     def patch(xi):
         u = u_best + tangent @ xi
         return height(u / np.linalg.norm(u))
 
-    res = minimize(patch, np.zeros(d - 1), method="Nelder-Mead",
-                   options={"maxiter": _POLISH_MAXITER, "xatol": 1e-13, "fatol": 1e-15})
-    if res.fun < v_best:
-        u = u_best + tangent @ res.x
+    x, fun = _nelder_mead(patch, np.zeros(d - 1))
+    if fun < v_best:
+        u = u_best + tangent @ x
         u_best = u / np.linalg.norm(u)
-        v_best = float(res.fun)
+        v_best = fun
     return lift(point(u_best)), height(u_best)

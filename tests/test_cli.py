@@ -249,8 +249,11 @@ class TestVerify:
             monkeypatch.setattr(module, "_kind", counted)
         code, out, _ = run_cli(capsys, ["verify", "--scenario", path,
                                         "--grid-points", "15"])
-        assert code == 0 and len(json.loads(out)) == 2
+        records = json.loads(out)
+        assert code == 0 and len(records) == 2
         assert len(calls) == 1
+        # on the barrier the oracle's "inconclusive" is the agreeing verdict
+        assert all(r["agree"] is True for r in records)
 
     @pytest.mark.parametrize("n", [7, 64, 1024])
     def test_any_dimension(self, capsys, write_doc, n):
@@ -263,8 +266,8 @@ class TestVerify:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_finite_grid_value_exits_3(self, capsys, write_doc):
-        # at this scale every squared distance overflows, so no grid value
-        # of the kind oracle is finite
+        # at this scale every squared distance overflows, the length scale
+        # and every grid value of the kind oracle alike
         path = write_doc(scenario_doc(d1=(-1e200, 0.0, 1e200), d2=(1e200, 0.0, 1.5e200),
                                       x_a=(0.0, 0.0, 2e200)))
         code, out, err = run_cli(capsys, ["verify", "--scenario", path])
@@ -280,6 +283,34 @@ class TestVerify:
         records = json.loads(out)
         assert [r["instance"] for r in records] == ["kind"]
         assert records[0]["agree"] is True
+
+
+class TestExtremeScales:
+    """The README scenario scaled to both ends of the float range: either a
+    strict-JSON answer or a named error, never a traceback or a NaN."""
+
+    @staticmethod
+    def strict_json(text):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+        return json.loads(text, parse_constant=reject)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-300, 1e200])
+    @pytest.mark.parametrize("cmd", ["classify", "solve", "simulate", "verify"])
+    def test_answer_or_named_error(self, capsys, write_doc, cmd, scale):
+        def scaled(p):
+            return tuple(scale * v for v in p)
+        path = write_doc(scenario_doc(d1=scaled(REF_D1), d2=scaled(REF_D2),
+                                      x_a=scaled(REF_XA_DWS)))
+        code, out, err = run_cli(capsys, [cmd, "--scenario", path, "--format", "json"])
+        assert code in (0, 3)
+        if code == 0:
+            self.strict_json(out)
+        else:
+            assert out == "" and len(err.splitlines()) == 1
+            name = json.loads(err)["error"]
+            assert issubclass(getattr(subguard, name), subguard.SubguardError)
 
 
 class TestFailureModes:
@@ -364,32 +395,57 @@ class TestOutputPlumbing:
         assert code2 == 0
         assert target.read_text() == out
 
-    def test_closed_form_commands_leave_scipy_unloaded(self, ref_path, write_doc):
-        # scipy serves only the oracles; every command but verify, simulate
-        # from an attacker-winning state too, must not pay its import time
-        aws_path = write_doc(scenario_doc(x_a=REF_XA_AWS), name="aws.json")
+    def test_no_command_loads_scipy(self, write_doc):
+        # the package depends on numpy alone: no command, verify and its
+        # oracles included, may load scipy at any n
+        paths = {name: write_doc(scenario_doc(x_a=x_a), name=f"{name}.json")
+                 for name, x_a in (("dws", REF_XA_DWS), ("aws", REF_XA_AWS),
+                                   ("barrier", (0.0, 0.0, float(np.sqrt(719.0 / 768.0)))))}
         code = textwrap.dedent(f"""
             import contextlib, io, sys
+            import numpy as np
             import subguard
+            from subguard import oracle
             from subguard.cli import main
 
             def scipy_loaded():
                 return any(m.split(".")[0] == "scipy" for m in sys.modules)
 
+            paths = {paths!r}
             loaded = [scipy_loaded()]
-            for cmd, path in (("classify", {ref_path!r}), ("solve", {ref_path!r}),
-                              ("barrier", {ref_path!r}), ("simulate", {ref_path!r}),
-                              ("simulate", {aws_path!r})):
+            runs = [(cmd, paths["dws"]) for cmd in ("classify", "solve", "barrier", "simulate")]
+            runs += [("simulate", paths["aws"])]
+            runs += [("verify", paths[name]) for name in ("dws", "aws", "barrier")]
+            for cmd, path in runs:
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert main([cmd, "--scenario", path, "--grid-points", "5"]) == 0
                 loaded.append(scipy_loaded())
+            for n in (3, 5):
+                pad = (0.0,) * (n - 3)
+                d1, d2 = pad + (-1.5, 0.0, -1.0), pad + (1.5, 0.0, 1.5)
+                dws = subguard.Scenario(
+                    n=n, hyperplane=subguard.Hyperplane(K=(0.0,) * (n - 1) + (1.0,), b=0.0),
+                    x_d1=d1, x_d2=d2, x_a=pad + (0.0, 0.0, 2.0), alpha=0.5)
+                aws = subguard.Scenario(
+                    n=n, hyperplane=dws.hyperplane, x_d1=d1, x_d2=d2,
+                    x_a=pad + (0.0, 0.0, 0.5), alpha=0.5)
+                assert oracle.oracle_kind(dws).label == "defenders_win"
+                loaded.append(scipy_loaded())
+                assert oracle.oracle_aws_target(aws).shape == (n,)
+                loaded.append(scipy_loaded())
+                oracle.oracle_min_boundary_height(dws)
+                loaded.append(scipy_loaded())
+                oracle.oracle_otp_dws(dws)
+                loaded.append(scipy_loaded())
+            oracle.oracle_otp_1v1(np.array([0.0, 0.0, 0.5]), np.array([1.5, 0.0, 1.5]), 0.5)
+            loaded.append(scipy_loaded())
             print(loaded)
             """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(subguard.__file__)))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=src),
                               check=True)
-        assert proc.stdout.strip() == "[False, False, False, False, False, False]"
+        assert proc.stdout.strip() == repr([False] * 18)
 
     def test_deterministic_bytes(self, capsys, ref_path):
         _, first, _ = run_cli(capsys, ["verify", "--scenario", ref_path,

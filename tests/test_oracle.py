@@ -4,9 +4,17 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import referee
-from conftest import canonical_scenario, length, rand_two_effective, ref_scenario
+from conftest import (
+    canonical_scenario,
+    length,
+    rand_kind_scenario,
+    rand_two_effective,
+    ref_scenario,
+)
 from subguard import (
     ATTACKER_WINS,
     DEFENDERS_WIN,
@@ -281,3 +289,100 @@ class TestAboveFourDimensions:
         assert seen.count("_grid_maximize") == 3
         assert seen.count("_seam_chart") == 2
         assert seen.count("_lateral_basis") == 5
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def captured_polish(monkeypatch, call):
+    """The objectives and starts that ``call`` hands to the polish."""
+    seen, original = [], oracle_module._nelder_mead
+
+    def spy(f, x0):
+        seen.append((f, np.array(x0)))
+        return original(f, x0)
+
+    monkeypatch.setattr(oracle_module, "_nelder_mead", spy)
+    call()
+    return seen
+
+
+class TestNelderMead:
+    """The polish is scipy's Nelder-Mead with maxiter 200, xatol 1e-13 and
+    fatol 1e-15, operation for operation, so it must give the same bits."""
+
+    @pytest.fixture
+    def scipy_minimize(self):
+        return pytest.importorskip("scipy.optimize").minimize
+
+    def assert_same_bits(self, minimize, f, x0):
+        res = minimize(f, x0, method="Nelder-Mead",
+                       options={"maxiter": 200, "xatol": 1e-13, "fatol": 1e-15})
+        x, fun = oracle_module._nelder_mead(f, x0)
+        assert x.tobytes() == np.asarray(res.x, dtype=float).tobytes()
+        assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+        return res
+
+    @pytest.mark.parametrize("x0", [(-1.2, 1.0), (-1.0, 1.5, 0.5)], ids=["2d", "3d"])
+    def test_rosenbrock(self, scipy_minimize, x0):
+        self.assert_same_bits(scipy_minimize, rosenbrock, np.array(x0))
+
+    def test_zero_coordinate_start(self, scipy_minimize):
+        # a zero coordinate starts its simplex edge at 0.00025, not 1.05 x 0
+        self.assert_same_bits(scipy_minimize, lambda x: float(np.sum((x - [0.3, 2.5]) ** 2)),
+                              np.array([0.0, 2.0]))
+
+    def test_shrink_step(self, scipy_minimize):
+        # on this staircase neither contraction improves, so the simplex
+        # shrinks: more evaluations than one start, then at most two per step
+        res = self.assert_same_bits(scipy_minimize,
+                                    lambda x: float(np.floor(4.0 * np.abs(x).sum())),
+                                    np.array([1.0, 1.0]))
+        assert res.nfev > 3 + 2 * (res.nit - 1)
+
+    @pytest.mark.parametrize("n, seed", [(3, 5), (5, 6)])
+    def test_kind_oracle_objective(self, scipy_minimize, monkeypatch, n, seed):
+        s, _ = rand_kind_scenario(np.random.default_rng(seed), n=n)
+        polish = captured_polish(monkeypatch, lambda: oracle_kind(s))
+        assert len(polish) == 1 and polish[0][1].shape == (min(n, 4) - 1,)
+        self.assert_same_bits(scipy_minimize, *polish[0])
+
+    def test_seam_patch_objective(self, scipy_minimize, monkeypatch):
+        s = rand_two_effective(np.random.default_rng(29), want_zero=False, n=4)
+        polish = captured_polish(monkeypatch, lambda: oracle_otp_dws(s))
+        assert len(polish) == 1
+        self.assert_same_bits(scipy_minimize, *polish[0])
+
+
+class TestNullSpace:
+    def assert_null_basis(self, a, nullity):
+        W = oracle_module._null_space(a)
+        assert W.shape == (a.shape[1], nullity)
+        np.testing.assert_allclose(W.T @ W, np.eye(nullity), atol=1e-12)
+        np.testing.assert_allclose(a @ W, 0.0, atol=1e-12 * np.abs(a).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 9), st.integers(0, 2 ** 32 - 1))
+    def test_random_row(self, d, seed):
+        a = np.random.default_rng(seed).standard_normal((1, d))
+        self.assert_null_basis(a, d - 1)
+
+    @pytest.mark.parametrize("d, k", [(2, 0), (3, 2), (4, 1), (7, 6)])
+    def test_axis_row(self, d, k):
+        self.assert_null_basis(np.eye(d)[k:k + 1], d - 1)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_rank_one_rows(self, d):
+        row = np.random.default_rng(d).standard_normal(d)
+        self.assert_null_basis(np.stack([row, -2.5 * row]), d - 1)
+
+
+def test_no_finite_grid_value_is_named():
+    # at this scale every squared distance overflows, so no grid value of
+    # the kind oracle is finite
+    s = canonical_scenario(3, (-1e200, 0.0, 1e200), (1e200, 0.0, 1.5e200),
+                           (0.0, 0.0, 2e200), 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalDegeneracyError, match="no grid point"):
+            oracle_kind(s)
