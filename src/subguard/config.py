@@ -1,8 +1,8 @@
 """Centralized numeric tolerances.
 
-All comparison thresholds used across the library live in one record so a
-caller can tighten or relax the whole stack coherently instead of hunting
-scattered literals.
+Every comparison threshold is relative to the state's own size, so an
+answer does not change when the whole state is scaled or shifted. The one
+settable threshold lives in :class:`Tolerances`; the rest are constants.
 """
 
 from dataclasses import dataclass
@@ -21,16 +21,17 @@ class Tolerances:
         between two players, so the band is invariant under translation
         and scaling; the seam radius check allows ``rho^2`` down to
         ``-rel * delta^2`` of the ball it cuts.
-    abs:
-        Absolute tolerance for quantities expected to be exactly zero
-        (lateral coincidence, height differences, heading norms).
     """
 
     rel: float = 1e-9
-    abs: float = 1e-12
 
 
 DEFAULT_TOLS = Tolerances()
+
+# Lengths that count as zero (stacked or level defenders, a ball bottom on
+# the other sphere, coincident points), in the state's unit frame
+# (``subguard.kind``): a fraction of the state's size.
+ZERO_TOL = 1e-12
 
 # Brute-force oracle limit: grid evaluations per refinement round.
 ORACLE_EVAL_BUDGET = 21 ** 4

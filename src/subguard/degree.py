@@ -11,38 +11,27 @@ at the bottom of one ball (only that defender matters) or on the seam where
 both spheres meet. One plane cut gives every seam point: the seam is one
 defender's sphere cut by the defenders' bisector plane, a circle whose
 lowest point is explicit, and on the barrier the same plane's trace on the
-hyperplane gives the target.
+hyperplane gives the target. Every point is built in the state's unit frame
+(see :mod:`subguard.kind`) and scaled back exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._text import fmt as _fmt, jvec as _jvec
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, ZERO_TOL, Tolerances
 from .errors import (
     CoincidentPointsError,
     NotInDWSError,
     NotOnBarrierError,
     NumericalDegeneracyError,
 )
-from .geometry import (
-    CanonicalTransform,
-    Scenario,
-    _as_vector,
-    apollonius,
-)
-from .kind import (
-    DEFENDERS_WIN,
-    ON_BARRIER,
-    PIECE_B3,
-    KindOutcome,
-    _kind,
-    _length,
-    evaluate_kind,
-)
+from .geometry import CanonicalTransform, Scenario, _as_vector
+from .kind import DEFENDERS_WIN, ON_BARRIER, PIECE_B3, _Kind, _kind
 
 CASE_ONE_EFFECTIVE = "one_effective"
 CASE_TWO_M_NONZERO = "two_effective_m12_nonzero"
@@ -50,8 +39,9 @@ CASE_TWO_M_ZERO = "two_effective_m12_zero"
 CASE_BARRIER = "barrier"
 
 
-def heading(frm, to, tol: float = DEFAULT_TOLS.abs) -> np.ndarray:
-    """Unit vector from one point toward another."""
+def heading(frm, to, tol: float = ZERO_TOL) -> np.ndarray:
+    """Unit vector from one point toward another; points within ``tol`` of
+    each other count as coincident."""
     frm = _as_vector(frm, name="start point")
     to = _as_vector(to, n=frm.shape[0], name="end point")
     diff = to - frm
@@ -72,34 +62,32 @@ def effective_defenders(scenario: Scenario,
     the two-defender case is labeled by the paper's split on the defenders'
     height difference, though one construction serves both labels.
     Bottoms exactly on the other sphere count as two-effective. Both tests
-    compare lengths against ``tols.abs * L``, with ``L`` the largest
-    distance between two players, so the label does not depend on scale.
+    compare lengths in the state's unit frame against ``ZERO_TOL``, a
+    fraction of the state's size, so the label does not depend on scale.
 
     Requires a defender-winning state.
     """
-    _require_dws(scenario, tols)
-    return _effective(scenario, tols)
+    return _effective(_dws(scenario, tols))
 
 
-def _require_dws(scenario: Scenario, tols: Tolerances) -> None:
-    if evaluate_kind(scenario, tols).outcome != DEFENDERS_WIN:
+def _dws(scenario: Scenario, tols: Tolerances) -> _Kind:
+    """The state's classification, which must be defender-winning."""
+    k = _kind(scenario, tols)
+    if k.outcome != DEFENDERS_WIN:
         raise NotInDWSError("state is not strictly defender-winning")
+    return k
 
 
-def _effective(scenario: Scenario, tols: Tolerances) -> tuple[str, tuple[int, ...]]:
-    """``effective_defenders`` for a state already known to be
-    defender-winning."""
-    ball1 = apollonius(scenario.x_a, scenario.x_d1, scenario.alpha)
-    ball2 = apollonius(scenario.x_a, scenario.x_d2, scenario.alpha)
-    tol = tols.abs * _length(scenario)
-    depth1 = ball2.delta - float(np.linalg.norm(ball1.bottom() - ball2.theta))
-    depth2 = ball1.delta - float(np.linalg.norm(ball2.bottom() - ball1.theta))
-    if max(depth1, depth2) > tol:
+def _effective(k: _Kind) -> tuple[str, tuple[int, ...]]:
+    """``effective_defenders`` for a state classified defender-winning."""
+    v1, v2 = k.ball1.bottom() - k.ball2.theta, k.ball2.bottom() - k.ball1.theta
+    depth1 = k.ball2.delta - math.sqrt(float(v1 @ v1))
+    depth2 = k.ball1.delta - math.sqrt(float(v2 @ v2))
+    if max(depth1, depth2) > ZERO_TOL:
         # both cannot be strictly interior; keep the deeper one defensively
         index = 1 if depth1 >= depth2 else 2
         return CASE_ONE_EFFECTIVE, (index,)
-    m12 = float(scenario.x_d1[-1] - scenario.x_d2[-1])
-    if abs(m12) <= tol:
+    if abs(float(k.d1[-1] - k.d2[-1])) <= ZERO_TOL:
         return CASE_TWO_M_ZERO, (1, 2)
     return CASE_TWO_M_NONZERO, (1, 2)
 
@@ -121,25 +109,25 @@ class DegreeSolution:
     a: np.ndarray
 
 
-def _heading_or_none(frm, to) -> np.ndarray | None:
-    try:
-        return heading(frm, to)
-    except CoincidentPointsError:
-        return None
+def _heading_or_none(frm: np.ndarray, to: np.ndarray) -> np.ndarray | None:
+    """``heading`` between unit-frame points, None where they coincide."""
+    diff = to - frm
+    norm = math.sqrt(float(diff @ diff))
+    return None if norm <= ZERO_TOL else diff / norm
 
 
-def _bisector(scenario: Scenario) -> tuple[np.ndarray, float]:
+def _bisector(k: _Kind) -> tuple[np.ndarray, float]:
     """The defenders' bisector plane ``nu . z = w``: the points equidistant
     from both, so a point of one dominance sphere on it lies on both.
 
     ``w`` is ``nu`` against the defenders' midpoint, not the equal half gap
     of their squared norms, which loses digits far from the origin."""
-    nu = scenario.x_d1 - scenario.x_d2
-    w = 0.5 * float(nu @ (scenario.x_d1 + scenario.x_d2))
+    nu = k.d1 - k.d2
+    w = 0.5 * float(nu @ (k.d1 + k.d2))
     return nu, w
 
 
-def _seam_bottom(scenario: Scenario, tols: Tolerances) -> np.ndarray:
+def _seam_bottom(k: _Kind, tols: Tolerances) -> np.ndarray:
     """Lowest point of the seam where the two dominance spheres meet.
 
     The seam is defender 1's sphere cut by the bisector plane: a circle
@@ -149,8 +137,8 @@ def _seam_bottom(scenario: Scenario, tols: Tolerances) -> np.ndarray:
     ``||nu||^2 e_n - nu_n nu``, the projection scaled by ``||nu||^2``, so
     its height ``||nu_lat||^2`` carries no cancellation.
     """
-    ball = apollonius(scenario.x_a, scenario.x_d1, scenario.alpha)
-    nu, w = _bisector(scenario)
+    ball = k.ball1
+    nu, w = _bisector(k)
     nn = float(nu @ nu)
     s = (float(nu @ ball.theta) - w) / nn
     center = ball.theta - s * nu
@@ -173,30 +161,28 @@ def solve_dws(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> DegreeSolu
     straight at the target and capture happens there simultaneously with
     the binding defenders.
     """
-    _require_dws(scenario, tols)
-    return _dws_solution(scenario, tols)
+    return _dws_solution(_dws(scenario, tols), tols)
 
 
-def _dws_solution(scenario: Scenario, tols: Tolerances) -> DegreeSolution:
-    """``solve_dws`` for a state already known to be defender-winning."""
-    case, effective = _effective(scenario, tols)
+def _dws_solution(k: _Kind, tols: Tolerances) -> DegreeSolution:
+    """``solve_dws`` for a state classified defender-winning."""
+    case, effective = _effective(k)
     if case == CASE_ONE_EFFECTIVE:
-        i = effective[0]
-        ball = apollonius(scenario.x_a, scenario.x_d1 if i == 1 else scenario.x_d2,
-                          scenario.alpha)
-        otp = ball.bottom()
+        otp = (k.ball1 if effective[0] == 1 else k.ball2).bottom()
     else:
-        otp = _seam_bottom(scenario, tols)
-    return _solution(scenario, case, effective, otp)
+        otp = _seam_bottom(k, tols)
+    return _solution(k, case, effective, otp)
 
 
-def _solution(scenario: Scenario, case: str, effective: tuple[int, ...],
+def _solution(k: _Kind, case: str, effective: tuple[int, ...],
               otp: np.ndarray) -> DegreeSolution:
+    """The solution with the unit frame's target ``otp`` scaled back; the
+    headings, unit vectors, are the unit frame's own."""
+    world = np.ldexp(otp, k.e)
     return DegreeSolution(
-        case=case, effective=effective, otp=otp, value=float(otp[-1]),
-        d1=_heading_or_none(scenario.x_d1, otp),
-        d2=_heading_or_none(scenario.x_d2, otp),
-        a=_heading_or_none(scenario.x_a, otp))
+        case=case, effective=effective, otp=world, value=float(world[-1]),
+        d1=_heading_or_none(k.d1, otp), d2=_heading_or_none(k.d2, otp),
+        a=_heading_or_none(k.a, otp))
 
 
 def otp_on_barrier(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -212,29 +198,35 @@ def barrier_solution(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> Deg
     or at the closed-form seam foot on the composite piece. All binding
     defenders and the attacker arrive simultaneously.
     """
-    outcome, owner = _kind(scenario, tols)
-    if outcome.outcome != ON_BARRIER:
-        raise NotOnBarrierError(
-            f"state classifies as {outcome.outcome}, not on the barrier")
-    return _barrier_from(scenario, outcome, owner)
+    k = _kind(scenario, tols)
+    if k.outcome != ON_BARRIER:
+        raise NotOnBarrierError(f"state classifies as {k.outcome}, not on the barrier")
+    return _barrier_from(k)
 
 
-def _barrier_from(scenario: Scenario, outcome: KindOutcome, owner: int) -> DegreeSolution:
-    """``barrier_solution`` for a state ``_kind`` put on the barrier, with
-    its outcome and piece owner."""
-    if outcome.piece == PIECE_B3:
+def _barrier_from(k: _Kind) -> DegreeSolution:
+    """``barrier_solution`` for a state classified on the barrier."""
+    if k.piece == PIECE_B3:
         # the seam's trace on the hyperplane: the sphere center's lateral
         # foot projected onto the bisector line a . z_lat = w
-        ball1 = apollonius(scenario.x_a, scenario.x_d1, scenario.alpha)
-        nu, w = _bisector(scenario)
-        a, theta_lat = nu[:-1], ball1.theta[:-1]
+        nu, w = _bisector(k)
+        a, theta_lat = nu[:-1], k.ball1.theta[:-1]
         p_lat = theta_lat + ((w - float(a @ theta_lat)) / float(a @ a)) * a
         effective = (1, 2)
     else:
-        x_d = scenario.x_d1 if owner == 1 else scenario.x_d2
-        p_lat = apollonius(scenario.x_a, x_d, scenario.alpha).theta[:-1]
-        effective = (owner,)
-    return _solution(scenario, CASE_BARRIER, effective, np.append(p_lat, 0.0))
+        p_lat = (k.ball1 if k.owner == 1 else k.ball2).theta[:-1]
+        effective = (k.owner,)
+    return _solution(k, CASE_BARRIER, effective, np.append(p_lat, 0.0))
+
+
+def _saddle(k: _Kind, tols: Tolerances) -> DegreeSolution | None:
+    """The saddle-point solution of a classified state: the defender-winning
+    or the on-barrier one, and None where the attacker wins."""
+    if k.outcome == DEFENDERS_WIN:
+        return _dws_solution(k, tols)
+    if k.outcome == ON_BARRIER:
+        return _barrier_from(k)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,10 @@ ratio ``alpha = v_A / v_D`` is strictly inside (0, 1).
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .errors import (
     CoincidentPlayersError,
     DimensionMismatchError,
     NotCanonicalError,
+    NumericalDegeneracyError,
     ScenarioFormatError,
     ZeroNormalError,
 )
@@ -177,6 +181,29 @@ def _require_canonical(scenario: Scenario):
     if not scenario.is_canonical():
         raise NotCanonicalError(
             "operation requires the canonical frame; call canonicalize() first")
+
+
+def _largest_gap(points) -> float:
+    """The largest coordinate gap between two of the points: a state's size,
+    measured without squaring; ``inf`` when a gap overflows."""
+    with np.errstate(over="ignore"):
+        return max(float(abs(p - q).max()) for p, q in combinations(points, 2))
+
+
+def _largest_distance(points) -> float:
+    """L, the largest distance between two of the points."""
+    return math.sqrt(max(float(v @ v) for v in (p - q for p, q in combinations(points, 2))))
+
+
+def _require_normal_gap(*points) -> None:
+    """Raise :class:`NumericalDegeneracyError` unless the largest coordinate
+    gap between two of the points squares to a normal float, as code that
+    squares the players' distances in their own frame needs."""
+    top = _largest_gap(points)
+    if not sys.float_info.min <= top * top < math.inf:
+        raise NumericalDegeneracyError(
+            f"squared player offsets overflow or underflow the float range "
+            f"(largest coordinate gap {top:.3g})")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,12 @@ sampling and the on-barrier solution all read it. The paper's matrices
 (``geometry.single_matrix``, ``geometry.pair_geometry``) and
 ``region_label`` stay as the reference the kernel is tested against.
 
+``_kind`` classifies a state once, in its unit frame: scaled by the power
+of two ``2^-e`` that brings the largest coordinate gap between two players
+into [0.5, 1). That scaling is exact, so each closed form there gives the
+same bits, scaled, without overflow or underflow, and ``ZERO_TOL`` is a
+fraction of the state's size. Its record feeds every degree solution.
+
 All functions here require the canonical frame.
 """
 
@@ -27,11 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._text import fmt as _fmt
-from .config import BARRIER_NODE_BUDGET, DEFAULT_TOLS, Tolerances
+from .config import BARRIER_NODE_BUDGET, DEFAULT_TOLS, ZERO_TOL, Tolerances
 from .errors import (
     AttackerNotInPlayError,
     BudgetExceededError,
@@ -41,9 +48,12 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .geometry import (
+    ApolloniusBall,
     PairGeometry,
     Scenario,
     _as_vector,
+    _largest_distance,
+    _largest_gap,
     _require_canonical,
 )
 
@@ -77,13 +87,14 @@ class ActiveSet:
     index: int | None = None
 
 
-def classify_active(x_d1, x_d2, tol: float = DEFAULT_TOLS.abs) -> ActiveSet:
+def classify_active(x_d1, x_d2, tol: float = ZERO_TOL) -> ActiveSet:
     """Decide whether both defenders contribute to the barrier.
 
     Both are active when the defenders are laterally separated, or when they
     share the lateral position at exactly opposite heights. Otherwise only
-    the defender nearer the hyperplane matters. Equality comparisons use an
-    absolute tolerance; coincident inputs are rejected.
+    the defender nearer the hyperplane matters. Lengths within ``tol`` of
+    zero count as zero: a fraction of the state's size in the unit frame
+    where classification calls this. Coincident inputs are rejected.
     """
     d1 = _as_vector(x_d1, name="defender 1 position")
     d2 = _as_vector(x_d2, n=d1.shape[0], name="defender 2 position")
@@ -98,7 +109,7 @@ def classify_active(x_d1, x_d2, tol: float = DEFAULT_TOLS.abs) -> ActiveSet:
 
 
 def region_label(z, geo12: PairGeometry, geo21: PairGeometry, alpha: float,
-                 tol: float = DEFAULT_TOLS.abs) -> str:
+                 tol: float = ZERO_TOL) -> str:
     """Lateral region of a point: nearest-responsibility defender or seam.
 
     ``A1``/``A2`` mean the single-defender piece of that defender governs;
@@ -138,7 +149,7 @@ class KindOutcome:
 # barrier surface kernel
 # ---------------------------------------------------------------------------
 
-def _barrier_heights(points, x_d1, x_d2, alpha: float, tols: Tolerances):
+def _barrier_heights(points, x_d1, x_d2, alpha: float):
     """The barrier surface over the rows of lateral ``points``, in O(n) a row.
 
     Defenders are mirrored above the hyperplane, and lateral coordinates
@@ -151,7 +162,8 @@ def _barrier_heights(points, x_d1, x_d2, alpha: float, tols: Tolerances):
     code indexing ``_PIECE_BY_CODE`` (0 = Single, 1 = B1, 2 = B2, 3 = B3),
     the piece's quadratic coefficient (its form at ``z`` is
     ``coef * (z_n^2 - h2)``), and the 1-based defender owning a
-    single-defender piece (0 on ``B3``).
+    single-defender piece (0 on ``B3``). Stacked defenders are told apart by
+    ``ZERO_TOL`` in the units of the inputs.
     """
     d1, d2 = (np.append(d[:-1], abs(d[-1])) for d in (x_d1, x_d2))
     one_m, gamma = 1.0 - alpha**2, 1.0 / alpha**2 - 1.0
@@ -162,11 +174,11 @@ def _barrier_heights(points, x_d1, x_d2, alpha: float, tols: Tolerances):
         # gamma h^2 = ||y - offset||^2 + (1 - alpha^2) height^2
         return (np.sum((y - offset) ** 2, axis=1) + one_m * height**2) / gamma
 
-    if float(np.linalg.norm(d1 - d2)) <= tols.abs:
+    if float(np.linalg.norm(d1 - d2)) <= ZERO_TOL:
         # mirror-symmetric stack collapses to one virtual defender
         active = ActiveSet(two_active=False, index=1)
     else:
-        active = classify_active(d1, d2, tol=tols.abs)
+        active = classify_active(d1, d2)
     if not active.two_active:
         d = d1 if active.index == 1 else d2
         return (h2_single(d[:-1] - mid, d[-1]), np.zeros(rows, dtype=np.int64),
@@ -185,43 +197,61 @@ def _barrier_heights(points, x_d1, x_d2, alpha: float, tols: Tolerances):
     return h2, codes, np.where(codes == 3, zeta1, gamma), np.where(codes == 3, 0, codes)
 
 
-def _length(scenario: Scenario) -> float:
-    """The state's length scale L: the largest distance between two players."""
-    return max(float(np.linalg.norm(scenario.x_d1 - scenario.x_d2)),
-               float(np.linalg.norm(scenario.x_d1 - scenario.x_a)),
-               float(np.linalg.norm(scenario.x_d2 - scenario.x_a)))
+class _Kind(NamedTuple):
+    """A state classified in its unit frame: the players scaled by ``2^-e``,
+    the attacker's dominance balls there, the owner of a single-defender
+    piece (0 on ``B3``), ``margin`` in units of L and the unit frame's form
+    value, which scales back by ``2^(2e)``, or ``2^(4e)`` on ``B3``."""
+
+    e: int
+    d1: np.ndarray
+    d2: np.ndarray
+    a: np.ndarray
+    ball1: ApolloniusBall
+    ball2: ApolloniusBall
+    outcome: str
+    piece: str
+    owner: int
+    margin: float
+    form: float
 
 
-def _kind(scenario: Scenario, tols: Tolerances) -> tuple[KindOutcome, int]:
-    """Classify the attacker against the surface above it: the outcome, and
-    the owner of a single-defender piece (0 on ``B3``)."""
+def _ball(x_a, x_d, alpha: float) -> ApolloniusBall:
+    """``geometry.apollonius`` for players a validated scenario holds."""
+    v = x_a - x_d
+    denom = 1.0 - alpha**2
+    return ApolloniusBall(theta=(x_a - alpha**2 * x_d) / denom,
+                          delta=alpha * math.sqrt(float(v @ v)) / denom)
+
+
+def _kind(scenario: Scenario, tols: Tolerances) -> _Kind:
+    """Classify the attacker against the surface above it, in the state's
+    unit frame."""
     _require_canonical(scenario)
-    x_a = scenario.x_a
-    z = float(x_a[-1])
-    if z <= 0.0:
+    players = (scenario.x_d1, scenario.x_d2, scenario.x_a)
+    if players[2][-1] <= 0.0:
         raise AttackerNotInPlayError("attacker must sit strictly above the hyperplane")
-    h2, codes, coef, owner = _barrier_heights(x_a[None, :-1], scenario.x_d1,
-                                              scenario.x_d2, scenario.alpha, tols)
-    h2 = float(h2[0])
+    top = _largest_gap(players)
+    if top == math.inf:
+        raise NumericalDegeneracyError("player offsets overflow the float range")
+    e = math.frexp(top)[1]
+    d1, d2, a = (np.ldexp(p, -e) for p in players)
+    alpha = scenario.alpha
+    h2, codes, coef, owner = _barrier_heights(a[None, :-1], d1, d2, alpha)
+    z, h2 = float(a[-1]), float(h2[0])
     gap = z * z - h2
-    length = _length(scenario)
-    if not 0.0 < length < math.inf:
-        raise NumericalDegeneracyError(f"length scale {length} is outside the float range")
     # z - h, formed without cancellation; equal to gap / z when h is absent
-    margin = gap / (z + math.sqrt(max(h2, 0.0))) / length
-    form_value = float(coef[0]) * gap
-    if not (math.isfinite(margin) and math.isfinite(form_value)):
-        raise NumericalDegeneracyError(
-            f"barrier margin {margin} or form value {form_value} is not finite")
+    margin = gap / (z + math.sqrt(max(h2, 0.0))) / _largest_distance((d1, d2, a))
     if margin > tols.rel:
         outcome = DEFENDERS_WIN
     elif margin < -tols.rel:
         outcome = ATTACKER_WINS
     else:
         outcome = ON_BARRIER
-    return (KindOutcome(outcome=outcome, piece=_PIECE_BY_CODE[int(codes[0])],
-                        form_value=form_value, margin=margin),
-            int(owner[0]))
+    return _Kind(e=e, d1=d1, d2=d2, a=a, ball1=_ball(a, d1, alpha),
+                 ball2=_ball(a, d2, alpha), outcome=outcome,
+                 piece=_PIECE_BY_CODE[int(codes[0])], owner=int(owner[0]),
+                 margin=margin, form=float(coef[0]) * gap)
 
 
 def evaluate_kind(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> KindOutcome:
@@ -232,13 +262,19 @@ def evaluate_kind(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> KindOu
     ``tols.rel * L``, with ``L`` the largest distance between two players,
     so the band moves with the state under translation and scaling. The
     reported ``form_value`` is the governing piece's quadratic form at the
-    attacker, ``coef * (z_n^2 - h^2)``.
+    attacker, ``coef * (z_n^2 - h^2)``. It grows as L^2, or L^4 on ``B3``:
+    past the float range it is a signed ``inf``, below it rounds to 0.
     """
-    return _kind(scenario, tols)[0]
+    k = _kind(scenario, tols)
+    try:
+        form_value = math.ldexp(k.form, (4 if k.piece == PIECE_B3 else 2) * k.e)
+    except OverflowError:
+        form_value = math.copysign(math.inf, k.form)
+    return KindOutcome(outcome=k.outcome, piece=k.piece, form_value=form_value,
+                       margin=k.margin)
 
 
-def barrier_height(z_lat, x_d1, x_d2, alpha: float,
-                   tols: Tolerances = DEFAULT_TOLS) -> float | None:
+def barrier_height(z_lat, x_d1, x_d2, alpha: float) -> float | None:
     """Height of the barrier surface above a lateral point, if present.
 
     Solves the governing piece's quadric for its positive root over the
@@ -249,7 +285,7 @@ def barrier_height(z_lat, x_d1, x_d2, alpha: float,
     z_lat = np.atleast_1d(np.asarray(z_lat, dtype=float))
     d1 = _as_vector(x_d1, name="defender 1 position")
     d2 = _as_vector(x_d2, n=d1.shape[0], name="defender 2 position")
-    h2 = float(_barrier_heights(z_lat[None, :], d1, d2, float(alpha), tols)[0][0])
+    h2 = float(_barrier_heights(z_lat[None, :], d1, d2, float(alpha))[0][0])
     return math.sqrt(h2) if h2 > 0.0 else None
 
 
@@ -265,8 +301,7 @@ class BarrierMesh:
         return self.points.shape[1]
 
 
-def sample_barrier(x_d1, x_d2, alpha: float, lo, hi, counts,
-                   tols: Tolerances = DEFAULT_TOLS) -> BarrierMesh:
+def sample_barrier(x_d1, x_d2, alpha: float, lo, hi, counts) -> BarrierMesh:
     """Sample the barrier over an axis-aligned lateral box.
 
     ``lo``/``hi`` bound each lateral axis and ``counts`` gives nodes per
@@ -291,7 +326,7 @@ def sample_barrier(x_d1, x_d2, alpha: float, lo, hi, counts,
     grids = np.meshgrid(*axes, indexing="ij")
     lat = np.stack([g.ravel() for g in grids], axis=1)
     d2 = _as_vector(x_d2, n=n, name="defender 2 position")
-    h2, codes, _, _ = _barrier_heights(lat, d1, d2, float(alpha), tols)
+    h2, codes, _, _ = _barrier_heights(lat, d1, d2, float(alpha))
     keep = h2 > 0.0
     pts = np.concatenate([lat[keep], np.sqrt(h2[keep])[:, None]], axis=1)
     labels = [_PIECE_BY_CODE[int(c)] for c in codes[keep]]

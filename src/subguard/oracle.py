@@ -30,7 +30,15 @@ from .errors import (
     NoWinningPointError,
     NumericalDegeneracyError,
 )
-from .geometry import Hyperplane, Scenario, _as_vector, _require_canonical, apollonius
+from .geometry import (
+    Hyperplane,
+    Scenario,
+    _as_vector,
+    _largest_distance,
+    _require_canonical,
+    _require_normal_gap,
+    apollonius,
+)
 
 _SHRINK = 0.2
 _POLISH_MAXITER = 200
@@ -83,14 +91,14 @@ def _lateral_basis(offsets) -> np.ndarray:
 def _lateral_frame(x_a, *others):
     """The players as n = 4 points ``(B^T (x_lat - a_lat), x_n)``, attacker
     first, and the lift ``p -> (a_lat + B p_lat, p_n)``; at n <= 4, the
-    players as given and the identity."""
+    players as given and the identity. Every oracle squares the players'
+    distances, so their gaps must square to normal floats."""
+    _require_normal_gap(x_a, *others)
     if x_a.shape[0] <= 4:
         return [x_a, *others], lambda p: p
     a_lat = x_a[:-1]
     players = (x_a, *others)
     offsets = [x[:-1] - a_lat for x in players]
-    if not np.all(np.isfinite(offsets)):
-        raise NumericalDegeneracyError("lateral offsets overflow the float range")
     B = _lateral_basis(offsets)
     return ([np.append(B.T @ v, x[-1]) for v, x in zip(offsets, players)],
             lambda p: np.append(a_lat + B @ p[:-1], p[-1]))
@@ -138,7 +146,7 @@ def _covering_radius(x_a, defenders, alpha: float) -> float:
     """
     gaps = [float(np.linalg.norm(x_a - d)) for d in defenders]
     r = (alpha * min(gaps) + abs(float(x_a[-1]))) / (1.0 - alpha)
-    return 1.05 * max(r, 1e-6)
+    return 1.05 * r
 
 
 def _nelder_mead(f, x0):
@@ -305,7 +313,8 @@ def oracle_kind(scenario: Scenario, grid: GridSpec | None = None,
     Maximizes ``min_i alpha ||p - x_di|| - ||p - x_a||``. A positive
     maximum exhibits a point the attacker reaches strictly before both
     defenders (attacker wins); a negative one proves no such point exists
-    (defenders win). Verdicts inside ``margin`` are inconclusive.
+    (defenders win). Verdicts within ``margin * L`` of zero, with ``L`` the
+    largest distance between two players, are inconclusive.
     """
     _require_canonical(scenario)
     scenario, lift = _reduce(scenario)
@@ -318,9 +327,10 @@ def oracle_kind(scenario: Scenario, grid: GridSpec | None = None,
         return scenario.alpha * min_dd - da
 
     lat, val = _grid_maximize(batch, scenario.n - 1, scenario.x_a[:-1], hw, grid)
-    if val > margin:
+    band = margin * _largest_distance((scenario.x_d1, scenario.x_d2, scenario.x_a))
+    if val > band:
         label = "attacker_wins"
-    elif val < -margin:
+    elif val < -band:
         label = "defenders_win"
     else:
         label = "inconclusive"

@@ -35,9 +35,9 @@ import numpy as np
 from ._text import fmt as _fmt, jvec as _jvec
 from .config import DEFAULT_TOLS, SIMULATE_STEP_BUDGET, Tolerances
 from .errors import BudgetExceededError, InvalidPolicyError, ScenarioFormatError
-from .degree import _barrier_from, _dws_solution
-from .geometry import Scenario, _as_vector, _require_canonical, apollonius
-from .kind import ATTACKER_WINS, DEFENDERS_WIN, _kind
+from .degree import _saddle
+from .geometry import Scenario, _require_canonical, _require_normal_gap
+from .kind import ATTACKER_WINS, _Kind, _kind
 
 EVENT_CAPTURED = "captured"
 EVENT_ARRIVED = "arrived"
@@ -244,7 +244,8 @@ def simulate(scenario: Scenario, policies, dt: float, t_max: float,
     ``record=True``, step with forward Euler instead, at most
     ``config.SIMULATE_STEP_BUDGET`` steps: a run that needs more raises
     :class:`BudgetExceededError`, before the first step when the exact
-    event time of built-in policies already shows it.
+    event time of built-in policies already shows it. Squared distances
+    past the float range raise :class:`NumericalDegeneracyError`.
     """
     _require_canonical(scenario)
     if not (math.isfinite(dt) and dt > 0.0):
@@ -261,6 +262,7 @@ def simulate(scenario: Scenario, policies, dt: float, t_max: float,
             f"eps_capture must be nonnegative and finite, got {eps_capture}")
     if len(policies) != 3:
         raise InvalidPolicyError("need exactly three policies (d1, d2, attacker)")
+    _require_normal_gap(scenario.x_d1, scenario.x_d2, scenario.x_a)
 
     n = scenario.n
     pos0 = np.stack([scenario.x_d1, scenario.x_d2, scenario.x_a]).astype(float)
@@ -364,7 +366,7 @@ class PolicyBundle:
         return (self.d1, self.d2, self.a)
 
 
-def _breach_point(scenario: Scenario) -> np.ndarray:
+def _breach_point(k: _Kind) -> np.ndarray:
     """The hyperplane point deepest in both of the attacker's dominance discs.
 
     Each dominance ball cuts the hyperplane in a disc with center
@@ -374,10 +376,10 @@ def _breach_point(scenario: Scenario) -> np.ndarray:
     other, else the point of the center line halfway across the overlap.
     Each ball is convex and holds the attacker and the point, so the
     attacker reaches every point of its straight path there strictly first.
+    The point is found in the unit frame and scaled back.
     """
     discs = []
-    for x_d in (scenario.x_d1, scenario.x_d2):
-        ball = apollonius(scenario.x_a, x_d, scenario.alpha)
+    for ball in (k.ball1, k.ball2):
         h = abs(float(ball.theta[-1]))
         radius2 = (ball.delta - h) * (ball.delta + h)
         discs.append((ball.theta[:-1], math.sqrt(max(radius2, 0.0))))
@@ -389,7 +391,7 @@ def _breach_point(scenario: Scenario) -> np.ndarray:
         lat = c2
     else:
         lat = c1 + (0.5 * (g + r1 - r2) / g) * (c2 - c1)
-    return np.append(lat, 0.0)
+    return np.ldexp(np.append(lat, 0.0), k.e)
 
 
 def optimal_policies(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> PolicyBundle:
@@ -402,20 +404,19 @@ def optimal_policies(scenario: Scenario, tols: Tolerances = DEFAULT_TOLS) -> Pol
     hyperplane deepest in both traces of its dominance balls, and the
     defenders chase it; marked non-optimal since no saddle exists for the
     defense there. The state is classified once, and every branch is
-    closed form.
+    closed form. Each policy counts as arrived within 1e-9 of the state's
+    size of the target.
     """
-    outcome, owner = _kind(scenario, tols)
-    if outcome.outcome == DEFENDERS_WIN:
-        sol = _dws_solution(scenario, tols)
-        target, case, optimal = sol.otp, sol.case, True
-    elif outcome.outcome == ATTACKER_WINS:
-        target, case, optimal = _breach_point(scenario), ATTACKER_WINS, False
+    k = _kind(scenario, tols)
+    sol = _saddle(k, tols)
+    if sol is None:
+        target, case, optimal = _breach_point(k), ATTACKER_WINS, False
     else:
-        sol = _barrier_from(scenario, outcome, owner)
         target, case, optimal = sol.otp, sol.case, True
+    tol = math.ldexp(1e-9, k.e)
     return PolicyBundle(
-        d1=to_point_policy(target), d2=to_point_policy(target),
-        a=to_point_policy(target), target=np.array(target), case=case,
+        d1=to_point_policy(target, tol), d2=to_point_policy(target, tol),
+        a=to_point_policy(target, tol), target=np.array(target), case=case,
         saddle_optimal=optimal)
 
 

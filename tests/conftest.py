@@ -8,6 +8,7 @@ tolerance checks flaky).
 
 import numpy as np
 import pytest
+from hypothesis import example
 
 from subguard import (
     CASE_TWO_M_NONZERO,
@@ -48,9 +49,13 @@ def ref_scenario(x_a):
 
 
 def length(scenario):
-    """The state's length scale: its largest distance between two players."""
+    """The state's length scale: its largest distance between two players,
+    measured on gaps divided by their largest entry so that no square
+    overflows or underflows at any scale."""
     p = (scenario.x_d1, scenario.x_d2, scenario.x_a)
-    return max(float(np.linalg.norm(p[i] - p[j])) for i, j in ((0, 1), (0, 2), (1, 2)))
+    gaps = [p[i] - p[j] for i, j in ((0, 1), (0, 2), (1, 2))]
+    top = max(float(np.abs(g).max()) for g in gaps)
+    return top * max(float(np.linalg.norm(g / top)) for g in gaps)
 
 
 def moved(scenario, rot=None, scale=1.0, shift=None, swap=False):
@@ -81,6 +86,20 @@ def rand_symmetry(rng, n, log_scale, reach):
     scale = 10.0 ** log_scale
     direction = rng.standard_normal(n - 1)
     return rot, scale, scale * reach * direction / float(np.linalg.norm(direction))
+
+
+# scales at both ends of the float range and just past where absolute
+# tolerances used to act, as (n, seed, log_scale, reach, swap) arguments of
+# the symmetry properties
+FAR_SCALES = [(3, 1, -300.0, 1e6, True), (4, 2, -13.0, 0.0, False),
+              (5, 3, 13.0, 1e6, True), (2, 4, 300.0, 1e6, False)]
+
+
+def far_scale_examples(test):
+    """Run a symmetry property on every ``FAR_SCALES`` case, besides its draws."""
+    for args in FAR_SCALES:
+        test = example(*args)(test)
+    return test
 
 
 @pytest.fixture

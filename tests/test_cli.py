@@ -76,6 +76,22 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["outcome"] == "attacker_wins"
 
+    @pytest.mark.parametrize("scale, code", [(1e-150, 0), (1e150, 3)])
+    def test_form_value_past_the_float_range(self, capsys, write_doc, scale, code):
+        # the B3 form value grows as L^4: at 1e-150 it rounds to 0, and at
+        # 1e150 it overflows, which is a named error, never an inf
+        def scaled(p):
+            return tuple(scale * v for v in p)
+        path = write_doc(scenario_doc(d1=scaled(REF_D1), d2=scaled(REF_D2),
+                                      x_a=scaled(REF_XA_DWS)))
+        got, out, err = run_cli(capsys, ["classify", "--scenario", path])
+        assert got == code
+        if code == 0:
+            assert json.loads(out) == {"outcome": "defenders_win", "piece": "B3",
+                                       "form_value": 0}
+        else:
+            assert out == "" and json.loads(err)["error"] == "NumericalDegeneracyError"
+
 
 class TestSolve:
     def test_reference_solution(self, capsys, ref_path):
@@ -264,16 +280,30 @@ class TestVerify:
         assert [r["instance"] for r in records] == ["kind", "degree_value"]
         assert all(r["agree"] is True for r in records)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_finite_grid_value_exits_3(self, capsys, write_doc):
-        # at this scale every squared distance overflows, the length scale
-        # and every grid value of the kind oracle alike
+        # the closed forms solve this state in its unit frame, but every
+        # squared distance the oracles would take overflows
         path = write_doc(scenario_doc(d1=(-1e200, 0.0, 1e200), d2=(1e200, 0.0, 1.5e200),
                                       x_a=(0.0, 0.0, 2e200)))
         code, out, err = run_cli(capsys, ["verify", "--scenario", path])
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "NumericalDegeneracyError"
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e13])
+    def test_agrees_at_any_scale(self, capsys, write_doc, scale):
+        # the oracle's margin and the value threshold are fractions of the
+        # state's size, so a clear defender win stays clear at any scale
+        def scaled(p):
+            return tuple(scale * v for v in p)
+        path = write_doc(scenario_doc(d1=scaled(REF_D1), d2=scaled(REF_D2),
+                                      x_a=scaled(REF_XA_DWS)))
+        code, out, err = run_cli(capsys, ["verify", "--scenario", path])
+        assert code == 0 and err == ""
+        records = json.loads(out)
+        assert records[0]["oracle"] == "defenders_win"
+        assert [r["instance"] for r in records] == ["kind", "degree_value"]
+        assert all(r["agree"] is True for r in records)
 
     def test_aws_verifies_kind_only(self, capsys, write_doc):
         path = write_doc(scenario_doc(x_a=REF_XA_AWS))
@@ -295,7 +325,6 @@ class TestExtremeScales:
             raise ValueError(f"{name} is not JSON")
         return json.loads(text, parse_constant=reject)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e-300, 1e200])
     @pytest.mark.parametrize("cmd", ["classify", "solve", "simulate", "verify"])
     def test_answer_or_named_error(self, capsys, write_doc, cmd, scale):
@@ -311,6 +340,15 @@ class TestExtremeScales:
             assert out == "" and len(err.splitlines()) == 1
             name = json.loads(err)["error"]
             assert issubclass(getattr(subguard, name), subguard.SubguardError)
+
+
+    @pytest.mark.parametrize("cmd", ["classify", "solve", "simulate", "verify"])
+    def test_overflowing_offsets(self, capsys, write_doc, cmd):
+        # finite coordinates whose difference overflows: one named error line
+        path = write_doc(scenario_doc(d1=(-1e308, 0.0, 1.0), x_a=(1e308, 0.0, 2.0)))
+        code, out, err = run_cli(capsys, [cmd, "--scenario", path])
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "NumericalDegeneracyError"
 
 
 class TestFailureModes:
@@ -369,7 +407,7 @@ class TestFailureModes:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ScenarioFormatError"
 
-    @pytest.mark.parametrize("cmd", ["classify", "solve"])
+    @pytest.mark.parametrize("cmd", ["classify", "solve", "barrier", "simulate", "verify"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
     def test_bad_tol_exits_2(self, capsys, ref_path, cmd, value):
         # a NaN band would put every state on the barrier, and a negative

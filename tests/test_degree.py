@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import referee
 from conftest import (
     canonical_scenario,
+    far_scale_examples,
     length,
     moved,
     rand_dws_scenario,
@@ -23,6 +24,7 @@ from subguard import (
     CASE_TWO_M_NONZERO,
     CASE_TWO_M_ZERO,
     DEFENDERS_WIN,
+    PIECE_B3,
     CoincidentPointsError,
     NotInDWSError,
     NotOnBarrierError,
@@ -87,12 +89,14 @@ class TestEffectiveDefenders:
         assert case == CASE_TWO_M_ZERO
         assert eff == (1, 2)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6, 1e-300, 1e-13, 1e13, 1e300])
     def test_label_does_not_depend_on_scale(self, scale):
         # heights 1e-7 apart, relative to a state of length about 2.5
         s = canonical_scenario(3, scale * np.array([-1.0, 0.0, 1.0]),
                                scale * np.array([1.0, 0.5, 1.0 + 1e-7]),
                                scale * np.array([0.0, 0.0, 2.5]), 0.5)
+        out = evaluate_kind(s)
+        assert (out.outcome, out.piece) == (DEFENDERS_WIN, PIECE_B3)
         assert effective_defenders(s) == (CASE_TWO_M_NONZERO, (1, 2))
         assert solve_dws(s).case == CASE_TWO_M_NONZERO
 
@@ -272,13 +276,17 @@ class TestSymmetries:
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1),
            st.floats(min_value=-6, max_value=6), st.floats(min_value=0, max_value=1e6),
            st.booleans())
+    @far_scale_examples
     def test_value_scales_with_the_state(self, n, seed, log_scale, reach, swap):
         rng = np.random.default_rng(seed)
         s = rand_dws_scenario(rng, n=n)
         rot, scale, shift = rand_symmetry(rng, n, log_scale, reach)
         twin = moved(s, rot, scale, shift, swap)
-        value = solve_dws(twin).value
-        assert abs(value - scale * solve_dws(s).value) <= 1e-9 * length(twin)
+        sol, twin_sol = solve_dws(s), solve_dws(twin)
+        assert abs(twin_sol.value - scale * sol.value) <= 1e-9 * length(twin)
+        assert twin_sol.case == sol.case
+        assert twin_sol.effective == (tuple(sorted(3 - i for i in sol.effective))
+                                      if swap else sol.effective)
 
 
 class TestAboveTheOracleCap:

@@ -11,6 +11,7 @@ from conftest import (
     REF_D1,
     REF_D2,
     canonical_scenario,
+    far_scale_examples,
     moved,
     rand_kind_scenario,
     rand_mirror_scenario,
@@ -396,6 +397,7 @@ class TestSymmetries:
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1),
            st.floats(min_value=-6, max_value=6), st.floats(min_value=0, max_value=1e6),
            st.booleans())
+    @far_scale_examples
     def test_outcome_and_margin_invariant(self, n, seed, log_scale, reach, swap):
         # lateral rotation, uniform scaling, lateral translation (up to 1e6
         # scaled units) and defender swap leave the game unchanged
@@ -435,18 +437,21 @@ class TestFarFrames:
         return out
 
     # one ulp at 1e6 is 1.2e-10, 4e-5 of the state's length at scale 1e-6,
-    # so that cell probes 1e-4 off the barrier
+    # so that cell probes 1e-4 off the barrier; at the extreme scales the
+    # shift is 1e4 of the state's own lengths
     @pytest.mark.parametrize("shift, scale, delta", [
         (shift, scale, 1e-4 if (shift, scale) == (1e6, 1e-6) else 1e-6)
-        for shift in (0.0, 1e4, 1e6) for scale in (1.0, 1e-6, 1e-2, 1e6)])
+        for shift in (0.0, 1e4, 1e6) for scale in (1.0, 1e-6, 1e-2, 1e6)] + [
+        (shift * scale, scale, 1e-6)
+        for shift in (0.0, 1e4) for scale in (1e-300, 1e-13, 1e13, 1e300)])
     def test_no_winner_flips(self, probes, shift, scale, delta):
         offset = shift * np.array([1.0, 1.0]) / np.sqrt(2.0)
         wrong = []
         for lat, h in probes:
             for factor, want in ((1.0 + delta, DEFENDERS_WIN), (1.0 - delta, ATTACKER_WINS)):
-                s = moved(ref_scenario((lat[0], lat[1], h * factor)),
-                          scale=scale, shift=offset)
-                got = evaluate_kind(s).outcome
-                if got != want:
-                    wrong.append((lat.tolist(), factor, got))
+                s = ref_scenario((lat[0], lat[1], h * factor))
+                piece = evaluate_kind(s).piece
+                got = evaluate_kind(moved(s, scale=scale, shift=offset))
+                if (got.outcome, got.piece) != (want, piece):
+                    wrong.append((lat.tolist(), factor, got.outcome, got.piece))
         assert wrong == []

@@ -11,6 +11,7 @@ import referee
 from conftest import (
     canonical_scenario,
     length,
+    moved,
     rand_kind_scenario,
     rand_two_effective,
     ref_scenario,
@@ -239,7 +240,6 @@ class TestAboveFourDimensions:
         assert abs(h - lowest.value) <= 1e-9 * length(s)
         np.testing.assert_allclose(pt, lowest.point, atol=1e-6 * length(s))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_offsets_are_named(self):
         # defender 1 sits 2e308 from the attacker's foot, past the float range
         pad = (0.0,) * 3
@@ -379,10 +379,29 @@ class TestNullSpace:
 
 
 def test_no_finite_grid_value_is_named():
-    # at this scale every squared distance overflows, so no grid value of
-    # the kind oracle is finite
-    s = canonical_scenario(3, (-1e200, 0.0, 1e200), (1e200, 0.0, 1.5e200),
-                           (0.0, 0.0, 2e200), 0.5)
+    # the players' gaps square to normal floats, but their heights do not,
+    # so no grid value of the kind oracle is finite
+    s = canonical_scenario(3, (-1e150, 0.0, 1e160), (1e150, 0.0, 1e160),
+                           (0.0, 0.0, 1e160 + 3e150), 0.5)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalDegeneracyError, match="no grid point"):
             oracle_kind(s)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e200])
+@pytest.mark.parametrize("oracle", [oracle_min_boundary_height, oracle_otp_dws])
+def test_squares_past_the_float_range_are_named(scale, oracle):
+    # the seam oracles square the players' distances in the state's own
+    # frame: at 1e200 they overflow, at 1e-300 they underflow to zero
+    s = canonical_scenario(3, (-scale, 0.0, scale), (scale, 0.0, 1.5 * scale),
+                           (0.0, 0.0, 2.0 * scale), 0.5)
+    with pytest.raises(NumericalDegeneracyError, match="squared player offsets"):
+        oracle(s)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e13])
+def test_breach_target_scales_with_the_state(ref_aws, scale):
+    # the search box is a multiple of the state's own distances at any scale
+    twin = moved(ref_aws, scale=scale)
+    np.testing.assert_allclose(oracle_aws_target(twin) / scale, oracle_aws_target(ref_aws),
+                               atol=1e-4)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import referee
-from conftest import canonical_scenario, length, ref_scenario
+from conftest import REF_XA_DWS, canonical_scenario, length, moved, ref_scenario
 from subguard import (
     ATTACKER_WINS,
     BudgetExceededError,
@@ -171,6 +171,18 @@ class TestOptimalPlay:
         # capture fires just short of the simultaneous-arrival time
         t_star = np.linalg.norm(ref_dws.x_a - sol.otp) / ref_dws.speed_a
         assert 0.0 <= t_star - traj.t_event < 1e-3
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e10])
+    def test_capture_at_the_scaled_value(self, scale):
+        # the policies' arrival tolerance is a fraction of the state's size,
+        # so no player holds still at small scales
+        s = moved(ref_scenario(REF_XA_DWS), scale=scale)
+        bundle = optimal_policies(s)
+        traj = simulate(s, bundle.triple, dt=1e-4 * scale, t_max=10.0 * scale,
+                        record=False)
+        assert traj.event == EVENT_CAPTURED
+        assert traj.captured_by == 2
+        assert traj.capture_height == pytest.approx(scale * REF_VALUE, rel=1e-3)
 
     def test_barrier_start_grazes_plane(self, ref_barrier):
         bundle = optimal_policies(ref_barrier)
