@@ -160,12 +160,12 @@ class Scenario:
     def speed_a(self) -> float:
         return self.v_a if self.v_a is not None else self.alpha * self.speed_d
 
-    def is_canonical(self, tol: float = 1e-12) -> bool:
-        """True when the hyperplane is already ``{z_n = 0}`` with unit normal."""
+    def is_canonical(self, tol: float = 0.0) -> bool:
+        """True when ``|b|`` and every entry of ``K - e_n`` are at most ``tol``,
+        in absolute units; at the default 0, when the hyperplane is exactly
+        ``K = e_n``, ``b = 0``, the form :func:`canonicalize` emits."""
         K, b = self.hyperplane.K, self.hyperplane.b
-        e_n = np.zeros(self.n)
-        e_n[-1] = 1.0
-        return abs(b) <= tol and float(np.linalg.norm(K - e_n)) <= tol
+        return abs(b) <= tol and abs(K[-1] - 1.0) <= tol and float(abs(K[:-1]).max()) <= tol
 
     def replace_positions(self, x_d1=None, x_d2=None, x_a=None) -> "Scenario":
         """Copy with some positions swapped out (revalidates)."""

@@ -13,10 +13,19 @@ fixed budgets), so oracle answers are reproducible bit for bit. Every
 objective depends only on heights and on distances to points over the
 players' lateral span, so above n = 4 each oracle searches the exact n = 4
 image of the state (:func:`_reduce`): at most 3 lateral axes at any n.
+
+A grid oracle states its objective once, as ``value(min_dd, da)``. A grid
+round broadcasts one 1-D array per axis over the ``ij`` mesh, as squared
+distances on an axis-aligned grid are sums of per-axis terms; the polish
+evaluates points in plain floats. Both sum in :func:`_square_sum`'s order,
+which keeps the bits of the point-array code the oracles were written with.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,29 +122,6 @@ def _reduce(scenario: Scenario):
                     x_d1=x_d1, x_d2=x_d2, x_a=x_a, alpha=scenario.alpha), lift
 
 
-def _grid_pair_dists(points, defenders, attacker):
-    """Per-point (min distance to either defender, distance to attacker).
-
-    ``points`` are lateral coordinates of candidates on the target
-    hyperplane (height 0); player positions are full vectors.
-    """
-    d = points.shape[1]
-    lat = defenders[:, :d]
-    h2 = defenders[:, d] ** 2
-    diffs = points[:, None, :] - lat[None, :, :]
-    dd = np.sqrt(np.einsum("mkd,mkd->mk", diffs, diffs) + h2[None, :])
-    da = np.sqrt(np.sum((points - attacker[:d]) ** 2, axis=1) + attacker[d] ** 2)
-    return dd.min(axis=1), da
-
-
-def _grid_single_dists(points, defender, attacker):
-    """Per-point (distance to one defender, distance to attacker)."""
-    d = points.shape[1]
-    dd = np.sqrt(np.sum((points - defender[:d]) ** 2, axis=1) + defender[d] ** 2)
-    da = np.sqrt(np.sum((points - attacker[:d]) ** 2, axis=1) + attacker[d] ** 2)
-    return dd, da
-
-
 def _covering_radius(x_a, defenders, alpha: float) -> float:
     """Radius around the attacker's foot point that surely contains the
     maximizer of any of the pursuit objectives used here.
@@ -220,36 +206,74 @@ def _null_space(a) -> np.ndarray:
     return vh[rank:].T
 
 
-def _grid_maximize(batch_fn, dim: int, center, half_width: float, spec: GridSpec):
-    """Maximize ``batch_fn`` over a refining grid; returns (point, value).
+def _square_sum(squares, paired: bool):
+    """Sum per-axis squares in the order of the reductions the oracles were
+    first written with, so that their answers keep those bits: a defender of
+    a pair sums as numpy 2.4's ``einsum("mkd,mkd->mk")`` does, ``(s0 + s2)
+    + s1`` at three axes; every other distance in plain order, as
+    ``np.sum(axis=1)`` does."""
+    if paired and len(squares) == 3:
+        squares = [squares[0] + squares[2], squares[1]]
+    return functools.reduce(operator.add, squares)
 
-    The incumbent is monotone: each round keeps the best point seen so far,
-    and the polish only replaces it on strict improvement.
+
+def _nan_min(a: float, b: float) -> float:
+    """``np.minimum`` of two floats: NaN when either is NaN."""
+    return a if a < b or a != a else b
+
+
+def _objective(value, defenders, attacker):
+    """``f(coords, sqrt=math.sqrt, minimum=_nan_min)`` is ``value(min_i
+    ||p - x_di||, ||p - x_a||)`` at hyperplane point(s) ``p`` with lateral
+    ``coords``: one float per axis, or one array per axis broadcast over a
+    grid with ``np.sqrt`` and ``np.minimum``. A squared distance adds to
+    :func:`_square_sum` the height term, ``h * h`` for a defender of a pair
+    and numpy's scalar ``h ** 2`` (last bit apart) for any other player."""
+    paired = len(defenders) == 2
+    players = [(x[:-1].tolist(), float(x[-1] * x[-1] if pair else x[-1] ** 2), pair)
+               for x, pair in zip((*defenders, attacker), (paired, paired, False))]
+
+    def f(coords, sqrt=math.sqrt, minimum=_nan_min):
+        dist = [sqrt(_square_sum([(c - l) * (c - l) for c, l in zip(coords, lat)], pair) + h2)
+                for lat, h2, pair in players]
+        return value(functools.reduce(minimum, dist[:-1]), dist[-1])
+    return f
+
+
+def _grid_maximize(value, defenders, attacker, alpha: float, spec: GridSpec | None):
+    """Maximize :func:`_objective` over a grid refining around the attacker's
+    foot point, within :func:`_covering_radius`; returns (lateral point, value).
+
+    Each round evaluates the objective once, on the sparse ``ij`` mesh of
+    its axes, and finds the best node through ``np.unravel_index``; the
+    polish evaluates single points in plain floats. The incumbent is
+    monotone: each round keeps the best point seen so far, and the polish
+    only replaces it on strict improvement.
     """
+    spec = spec or GridSpec()
+    dim = attacker.shape[0] - 1
     per_round = spec.points_per_axis ** dim
     if per_round > ORACLE_EVAL_BUDGET:
         raise BudgetExceededError(
             f"{spec.points_per_axis}^{dim} = {per_round} evaluations per round "
             f"exceed budget {ORACLE_EVAL_BUDGET}")
-    center = np.array(center, dtype=float)
-    hw = float(half_width)
+    f = _objective(value, defenders, attacker)
+    center = attacker[:-1]
+    hw = _covering_radius(attacker, defenders, alpha)
     best_x, best_v = None, -np.inf
     for _ in range(spec.refinement_rounds + 1):
-        axes = [np.linspace(center[i] - hw, center[i] + hw, spec.points_per_axis)
-                for i in range(dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        vals = batch_fn(pts)
-        k = int(np.argmax(vals))
+        axes = [np.linspace(c - hw, c + hw, spec.points_per_axis) for c in center]
+        vals = f(np.meshgrid(*axes, indexing="ij", sparse=True), np.sqrt, np.minimum)
+        k = np.unravel_index(np.argmax(vals), vals.shape)
         if vals[k] > best_v:
             best_v = float(vals[k])
-            best_x = pts[k].copy()
+            best_x = np.array([a[j] for a, j in zip(axes, k)])
         if best_x is None:
             raise NumericalDegeneracyError("no grid point has a finite objective value")
         center = best_x
         hw *= _SHRINK
 
-    x, fun = _nelder_mead(lambda x: -batch_fn(x[None, :])[0], best_x)
+    x, fun = _nelder_mead(lambda x: -f(x.tolist()), best_x)
     if -fun > best_v:
         best_v = float(-fun)
         best_x = x
@@ -262,18 +286,16 @@ def f_value(p, x_a, x_d, alpha: float) -> float:
     ``||p - x_d|| - ||p - x_a|| / alpha`` equals defender travel time minus
     attacker travel time, in defender-speed units: positive means the
     attacker reaches ``p`` strictly first. ``p`` must lie on the target
-    hyperplane (height zero within tolerance).
+    hyperplane (height zero within tolerance), and the gaps between the
+    three points must square to normal floats.
     """
     p = _as_vector(p, name="point")
     x_a = _as_vector(x_a, n=p.shape[0], name="attacker position")
     x_d = _as_vector(x_d, n=p.shape[0], name="defender position")
+    _require_normal_gap(p, x_a, x_d)
     if abs(p[-1]) > DEFAULT_TOLS.rel * (1.0 + float(np.linalg.norm(p))):
         raise NotOnTargetHyperplaneError(f"point has height {p[-1]}")
     return float(np.linalg.norm(p - x_d) - np.linalg.norm(p - x_a) / alpha)
-
-
-def _full_point(lat: np.ndarray) -> np.ndarray:
-    return np.append(lat, 0.0)
 
 
 def oracle_otp_1v1(x_a, x_d, alpha: float, grid: GridSpec | None = None):
@@ -286,15 +308,8 @@ def oracle_otp_1v1(x_a, x_d, alpha: float, grid: GridSpec | None = None):
     x_a = _as_vector(x_a, name="attacker position")
     x_d = _as_vector(x_d, n=x_a.shape[0], name="defender position")
     (x_a, x_d), lift = _lateral_frame(x_a, x_d)
-    grid = grid or GridSpec()
-    hw = _covering_radius(x_a, [x_d], alpha)
-
-    def batch(pts):
-        dd, da = _grid_single_dists(pts, x_d, x_a)
-        return dd - da / alpha
-
-    lat, val = _grid_maximize(batch, x_a.shape[0] - 1, x_a[:-1], hw, grid)
-    return lift(_full_point(lat)), val
+    lat, val = _grid_maximize(lambda dd, da: dd - da / alpha, [x_d], x_a, alpha, grid)
+    return lift(np.append(lat, 0.0)), val
 
 
 @dataclass(frozen=True)
@@ -318,15 +333,9 @@ def oracle_kind(scenario: Scenario, grid: GridSpec | None = None,
     """
     _require_canonical(scenario)
     scenario, lift = _reduce(scenario)
-    grid = grid or GridSpec()
-    defenders = np.stack([scenario.x_d1, scenario.x_d2])
-    hw = _covering_radius(scenario.x_a, defenders, scenario.alpha)
-
-    def batch(pts):
-        min_dd, da = _grid_pair_dists(pts, defenders, scenario.x_a)
-        return scenario.alpha * min_dd - da
-
-    lat, val = _grid_maximize(batch, scenario.n - 1, scenario.x_a[:-1], hw, grid)
+    alpha, defenders = scenario.alpha, (scenario.x_d1, scenario.x_d2)
+    lat, val = _grid_maximize(lambda dd, da: alpha * dd - da, defenders, scenario.x_a,
+                              alpha, grid)
     band = margin * _largest_distance((scenario.x_d1, scenario.x_d2, scenario.x_a))
     if val > band:
         label = "attacker_wins"
@@ -334,7 +343,7 @@ def oracle_kind(scenario: Scenario, grid: GridSpec | None = None,
         label = "defenders_win"
     else:
         label = "inconclusive"
-    return KindProbe(label=label, point=lift(_full_point(lat)), value=val)
+    return KindProbe(label=label, point=lift(np.append(lat, 0.0)), value=val)
 
 
 def oracle_aws_target(scenario: Scenario, grid: GridSpec | None = None) -> np.ndarray:
@@ -348,19 +357,13 @@ def oracle_aws_target(scenario: Scenario, grid: GridSpec | None = None) -> np.nd
     """
     _require_canonical(scenario)
     scenario, lift = _reduce(scenario)
-    grid = grid or GridSpec()
-    defenders = np.stack([scenario.x_d1, scenario.x_d2])
-    hw = _covering_radius(scenario.x_a, defenders, scenario.alpha)
-
-    def batch(pts):
-        min_dd, da = _grid_pair_dists(pts, defenders, scenario.x_a)
-        return min_dd - da / scenario.alpha
-
-    lat, val = _grid_maximize(batch, scenario.n - 1, scenario.x_a[:-1], hw, grid)
+    alpha, defenders = scenario.alpha, (scenario.x_d1, scenario.x_d2)
+    lat, val = _grid_maximize(lambda dd, da: dd - da / alpha, defenders, scenario.x_a,
+                              alpha, grid)
     if val <= 0.0:
         raise NoWinningPointError(
             f"no hyperplane point is reachable strictly first (best lead {val})")
-    return lift(_full_point(lat))
+    return lift(np.append(lat, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ target and has no heading to hold).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -74,9 +75,15 @@ class ToPointPolicy:
 
     def __call__(self, state: GameState, own: np.ndarray) -> np.ndarray:
         diff = self.target - own
-        norm = float(np.linalg.norm(diff))
+        norm = unit = float(np.linalg.norm(diff))
+        if not sys.float_info.min <= norm * norm < math.inf:
+            # a power of two brings diff's norm into range and moves no heading bit
+            e = int(np.frexp(np.max(np.abs(diff)))[1])
+            diff = np.ldexp(diff, -e)
+            unit = float(np.linalg.norm(diff))
+            norm = math.ldexp(unit, e)
         if norm > self.tol:
-            self._last = diff / norm
+            self._last = diff / unit
         return self._last
 
 

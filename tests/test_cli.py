@@ -199,6 +199,21 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "BudgetExceededError"
 
+    def test_capture_at_1e_154(self, capsys, write_doc):
+        # headings near 1e-154 norm differences whose squares are subnormal
+        scale = 1e-154
+
+        def scaled(p):
+            return tuple(scale * v for v in p)
+        path = write_doc(scenario_doc(d1=scaled(REF_D1), d2=scaled(REF_D2),
+                                      x_a=scaled(REF_XA_DWS)))
+        code, out, err = run_cli(capsys, ["simulate", "--scenario", path, "--format", "json",
+                                          "--dt", repr(1e-3 * scale), "--tmax", repr(20 * scale)])
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["event"] == "captured" and data["captured_by"] == 2
+        assert abs(data["samples"][-1]["xA"][-1] / scale - REF_VALUE) < 1e-3
+
     def test_attacker_win_above_the_oracle_cap(self, capsys, write_doc):
         path = write_doc(padded_doc(7, REF_XA_AWS))
         code, out, err = run_cli(capsys, ["simulate", "--scenario", path])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import REF_ALPHA, REF_D1, REF_D2, canonical_scenario, ref_scenario
 from subguard import (
+    ATTACKER_WINS,
     AssumptionViolation,
     CoincidentDefendersError,
     DimensionMismatchError,
@@ -26,8 +27,10 @@ from subguard import (
     scenario_from_dict,
     scenario_to_dict,
     single_matrix,
+    solve_dws,
 )
 from subguard.geometry import _require_canonical
+from subguard.oracle import oracle_kind
 from subguard.kind import mirror_defender
 
 
@@ -140,6 +143,19 @@ class TestCanonicalize:
             _require_canonical(s)
         with pytest.raises(NotCanonicalError):
             evaluate_kind(s)
+
+    def test_nearly_canonical_plane_is_refused(self):
+        # the README state at 1e-13 over the plane z = 1.5e-13: read as if the
+        # plane were z = 0 the defenders would win, but the attacker does
+        t = 1e-13
+        s = Scenario(n=3, hyperplane=Hyperplane(K=[0.0, 0.0, 1.0], b=1.5 * t),
+                     x_d1=tuple(t * v for v in REF_D1), x_d2=tuple(t * v for v in REF_D2),
+                     x_a=(0.0, 0.0, 2.0 * t), alpha=REF_ALPHA)
+        assert s.is_canonical(tol=1e-12) and not s.is_canonical()
+        for call in (evaluate_kind, solve_dws, oracle_kind):
+            with pytest.raises(NotCanonicalError):
+                call(s)
+        assert evaluate_kind(canonicalize(s)[0]).outcome == ATTACKER_WINS
 
 
 def _world_from_canonical(n, k, b, pts):

@@ -42,6 +42,12 @@ oracle_module = importlib.import_module("subguard.oracle")
 
 
 class TestFValue:
+    @pytest.mark.parametrize("scale", [1e200, 1e-300])
+    def test_squares_past_the_float_range_are_named(self, scale):
+        # at 1e200 the norms overflow to inf - inf, at 1e-300 they vanish
+        with pytest.raises(NumericalDegeneracyError, match="squared player offsets"):
+            f_value((0.0, 0.0, 0.0), (0.0, 0.0, 2.0 * scale), (scale, 0.0, 1.5 * scale), 0.5)
+
     def test_hand_values(self):
         # defender 3 away, attacker 1 away at half speed: 3 - 1/0.5 = 1
         lead = f_value((0.0, 0.0), (0.0, 1.0), (0.0, 3.0), 0.5)
@@ -265,7 +271,8 @@ class TestAboveFourDimensions:
             monkeypatch.setattr(oracle_module, name, wrapped)
 
         def grid_check(args, out):
-            assert args[1] <= 3 and out[0].shape[0] <= 3
+            # args[2] is the attacker, whose lateral axes the grid spans
+            assert args[2].shape[0] - 1 <= 3 and out[0].shape[0] <= 3
 
         def seam_check(args, out):
             assert args[0].n == 4 and out[2].shape == (4, 3)
@@ -306,6 +313,98 @@ def captured_polish(monkeypatch, call):
     monkeypatch.setattr(oracle_module, "_nelder_mead", spy)
     call()
     return seen
+
+
+def reference_pair_dists(points, defenders, attacker):
+    """The kind and breach oracles' distances as first written, over a point
+    array: (min distance to either defender, distance to the attacker)."""
+    d = points.shape[1]
+    lat = defenders[:, :d]
+    h2 = defenders[:, d] ** 2
+    diffs = points[:, None, :] - lat[None, :, :]
+    dd = np.sqrt(np.einsum("mkd,mkd->mk", diffs, diffs) + h2[None, :])
+    da = np.sqrt(np.sum((points - attacker[:d]) ** 2, axis=1) + attacker[d] ** 2)
+    return dd.min(axis=1), da
+
+
+def reference_single_dists(points, defender, attacker):
+    """The one-defender oracle's distances as first written."""
+    d = points.shape[1]
+    dd = np.sqrt(np.sum((points - defender[:d]) ** 2, axis=1) + defender[d] ** 2)
+    da = np.sqrt(np.sum((points - attacker[:d]) ** 2, axis=1) + attacker[d] ** 2)
+    return dd, da
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float).ravel(), np.asarray(want, dtype=float).ravel()
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestSeparableArithmetic:
+    """The grid's broadcast per-axis distances and the polish's plain-float
+    distances give the point-array reductions' bits."""
+
+    @pytest.mark.parametrize("paired", [True, False], ids=["pair", "single"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mesh_and_point_paths_match_point_arrays(self, d, paired):
+        rng = np.random.default_rng(10 * d + paired)
+        # heights whose square numpy's scalar power rounds off from h * h
+        pool = [h for h in rng.uniform(0.5, 1.0, 20000).tolist() if h ** 2 != h * h]
+        specials = (np.inf, -np.inf, np.nan)
+        with np.errstate(all="ignore"):
+            for draw in range(60):
+                scale = 2.0 ** rng.integers(-500, 500)  # about 1e-150 to 1e150
+                players = scale * rng.standard_normal((3, d + 1))
+                players[:, -1] = scale * rng.choice(pool, 3) * rng.choice([-1.0, 1.0], 3)
+                axes = [scale * rng.standard_normal(4) for _ in range(d)]
+                if draw % 8 == 3:  # a non-finite player coordinate
+                    players[rng.integers(3), rng.integers(d + 1)] = specials[draw % 3]
+                elif draw % 8 == 7:  # a non-finite grid coordinate
+                    axes[rng.integers(d)][rng.integers(4)] = specials[draw % 3]
+                defenders = players[:2] if paired else players[:1]
+                f = oracle_module._objective(lambda dd, da: (dd, da), defenders, players[2])
+                points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+                if paired:
+                    want = reference_pair_dists(points, defenders, players[2])
+                else:
+                    want = reference_single_dists(points, defenders[0], players[2])
+                got = f(np.meshgrid(*axes, indexing="ij", sparse=True), np.sqrt, np.minimum)
+                for g, w in zip(got, want):
+                    assert g.shape == (4,) * d
+                    assert_same_bits(g, w)
+                for k, x in enumerate(points):
+                    dd, da = f(x.tolist())
+                    assert type(dd) is float and type(da) is float
+                    assert_same_bits([dd, da], [want[0][k], want[1][k]])
+
+    def test_point_minimum_propagates_nan(self):
+        nan_min = oracle_module._nan_min
+        assert np.isnan(nan_min(np.nan, 1.0)) and np.isnan(nan_min(1.0, np.nan))
+        assert nan_min(2.0, 1.0) == 1.0 and nan_min(1.0, 2.0) == 1.0
+
+    @pytest.mark.parametrize("rounds", [0, 2, 5])
+    def test_one_mesh_evaluation_per_round(self, monkeypatch, ref_aws, rounds):
+        # the polish evaluates single points in floats, never the mesh path
+        calls, original = [], oracle_module._objective
+
+        def spy(*args):
+            f = original(*args)
+
+            def counted(coords, *rest):
+                calls.append(all(isinstance(c, np.ndarray) for c in coords))
+                return f(coords, *rest)
+            return counted
+        monkeypatch.setattr(oracle_module, "_objective", spy)
+        grid = GridSpec(points_per_axis=9, refinement_rounds=rounds)
+        for search in (lambda: oracle_kind(ref_aws, grid),
+                       lambda: oracle_aws_target(ref_aws, grid),
+                       lambda: oracle_otp_1v1(ref_aws.x_a, ref_aws.x_d1, ref_aws.alpha, grid)):
+            calls.clear()
+            search()
+            assert calls[:rounds + 1] == [True] * (rounds + 1)
+            assert len(calls) > rounds + 1 and not any(calls[rounds + 1:])
 
 
 class TestNelderMead:

@@ -401,6 +401,18 @@ class TestPolicyValidation:
         with pytest.raises(InvalidPolicyError):
             simulate(ref_dws, (good, good), dt=1e-2, t_max=1.0)
 
+    @pytest.mark.parametrize("exp", [-1000, -520, 520])
+    def test_to_point_heading_is_scale_free(self, exp):
+        # offsets near 2^-1000 square to zero, near 2^-520 to subnormals and
+        # near 2^520 past the float range; a power of two moves no heading bit
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            target, own = rng.standard_normal(3), rng.standard_normal(3)
+            want = to_point_policy(target)(None, own)
+            with np.errstate(over="ignore"):
+                got = to_point_policy(np.ldexp(target, exp), tol=0.0)(None, np.ldexp(own, exp))
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_fixed_heading_rejected(self):
         with pytest.raises(InvalidPolicyError):
             fixed_heading_policy((0.0, 0.0, 0.0))
