@@ -41,7 +41,12 @@ CASE_BARRIER = "barrier"
 
 def heading(frm, to, tol: float = ZERO_TOL) -> np.ndarray:
     """Unit vector from one point toward another; points within ``tol`` of
-    each other count as coincident."""
+    each other count as coincident.
+
+    ``tol`` is absolute, in the points' own units: two points carry no size
+    but their distance, the very length tested, so the one scale-free default
+    would be 0. A caller that knows its state's size passes a fraction of it.
+    """
     frm = _as_vector(frm, name="start point")
     to = _as_vector(to, n=frm.shape[0], name="end point")
     diff = to - frm

@@ -17,8 +17,8 @@ image of the state (:func:`_reduce`): at most 3 lateral axes at any n.
 A grid oracle states its objective once, as ``value(min_dd, da)``. A grid
 round broadcasts one 1-D array per axis over the ``ij`` mesh, as squared
 distances on an axis-aligned grid are sums of per-axis terms; the polish
-evaluates points in plain floats. Both sum in :func:`_square_sum`'s order,
-which keeps the bits of the point-array code the oracles were written with.
+runs in plain floats, its simplex and objective alike. Both sum in
+:func:`_square_sum`'s order, which keeps the bits the oracles first had.
 """
 
 from __future__ import annotations
@@ -101,8 +101,10 @@ def _lateral_frame(x_a, *others):
     """The players as n = 4 points ``(B^T (x_lat - a_lat), x_n)``, attacker
     first, and the lift ``p -> (a_lat + B p_lat, p_n)``; at n <= 4, the
     players as given and the identity. Every oracle squares the players'
-    distances, so their gaps must square to normal floats."""
+    distances and heights, so their gaps, and their gaps to the attacker's
+    foot point, must square to normal floats."""
     _require_normal_gap(x_a, *others)
+    _require_normal_gap(x_a, *others, np.append(x_a[:-1], 0.0))
     if x_a.shape[0] <= 4:
         return [x_a, *others], lambda p: p
     a_lat = x_a[:-1]
@@ -135,66 +137,68 @@ def _covering_radius(x_a, defenders, alpha: float) -> float:
     return 1.05 * r
 
 
+def _sorted(sim, fsim):
+    """Vertices and values in ``np.argsort(fsim)``'s order, which a plain
+    sort gives unless two values tie or one is NaN."""
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
+        order = np.argsort(fsim).tolist()
+    return [sim[k] for k in order], [fsim[k] for k in order]
+
+
 def _nelder_mead(f, x0):
     """Minimize ``f`` from ``x0`` by the Nelder-Mead simplex; returns
-    ``(x, f(x))``.
+    ``(x, f(x))`` with ``x`` an ndarray.
 
     Reflection 1, expansion 2, contraction and shrink 0.5; the first simplex
     is ``x0`` and ``x0`` with one coordinate scaled by 1.05 (set to 0.00025
     when zero). Stops once every vertex is within 1e-13 of the best and every
     value within 1e-15 of its value, or when the iteration count, from 1,
-    reaches 200. Each call of ``f`` gets a copy of its point.
-    """
-    def value(x):
-        fx = f(np.copy(x))
-        return fx if np.isscalar(fx) else np.asarray(fx).item()
+    reaches 200. Each call of ``f`` gets a fresh list of floats.
 
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.shape[0]
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        sim[k + 1] = x0
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([value(x) for x in sim], dtype=float)
-    order = np.argsort(fsim)  # twice: a tie may move again in the second sort
-    sim, fsim = sim[order], fsim[order]
-    order = np.argsort(fsim)
-    sim, fsim = sim[order], fsim[order]
+    Vertices are float lists stepped in scipy's operation order, the centroid
+    summed from the first row as an axis-0 sum is. Ties take ``np.argsort``'s
+    order, not a stable sort's (the two differ at 4 values on AVX-512 builds).
+    """
+    x0 = np.asarray(x0, dtype=float).tolist()
+    n = len(x0)
+    sim = [x0] + [x0[:k] + [1.05 * c if c != 0 else 0.00025] + x0[k + 1:]
+                  for k, c in enumerate(x0)]
+    sim, fsim = _sorted(*_sorted(sim, [f(list(x)) for x in sim]))  # a tie may move twice
 
     iterations = 1
     while iterations < _POLISH_MAXITER:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-13
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-15):
+        best, worst = sim[0], sim[-1]
+        if (all(abs(c - b) <= 1e-13 for x in sim[1:] for c, b in zip(x, best))
+                and all(abs(fsim[0] - v) <= 1e-15 for v in fsim[1:])):
             break
-        xbar = sim[:-1].sum(axis=0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = value(xr)
+        xbar = [functools.reduce(operator.add, col) / n for col in zip(*sim[:-1])]
+        xr = [2 * c - w for c, w in zip(xbar, worst)]
+        fxr = f(list(xr))
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = value(xe)
+            xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
+            fxe = f(list(xe))
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = value(xc)
+                xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+                fxc = f(list(xc))
                 accept = fxc <= fxr
             else:
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = value(xc)
+                xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+                fxc = f(list(xc))
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = value(sim[j])
+                    sim[j] = [b + 0.5 * (c - b) for c, b in zip(sim[j], best)]
+                    fsim[j] = f(list(sim[j]))
         iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return sim[0], float(np.min(fsim))
+        sim, fsim = _sorted(sim, fsim)
+    return np.array(sim[0]), float(np.min(fsim))
 
 
 def _null_space(a) -> np.ndarray:
@@ -246,7 +250,7 @@ def _grid_maximize(value, defenders, attacker, alpha: float, spec: GridSpec | No
 
     Each round evaluates the objective once, on the sparse ``ij`` mesh of
     its axes, and finds the best node through ``np.unravel_index``; the
-    polish evaluates single points in plain floats. The incumbent is
+    polish hands it single points as lists of floats. The incumbent is
     monotone: each round keeps the best point seen so far, and the polish
     only replaces it on strict improvement.
     """
@@ -273,11 +277,8 @@ def _grid_maximize(value, defenders, attacker, alpha: float, spec: GridSpec | No
         center = best_x
         hw *= _SHRINK
 
-    x, fun = _nelder_mead(lambda x: -f(x.tolist()), best_x)
-    if -fun > best_v:
-        best_v = float(-fun)
-        best_x = x
-    return best_x, best_v
+    x, fun = _nelder_mead(lambda x: -f(x), best_x)
+    return (x, -fun) if -fun > best_v else (best_x, best_v)
 
 
 def f_value(p, x_a, x_d, alpha: float) -> float:
@@ -485,5 +486,4 @@ def oracle_otp_dws(scenario: Scenario, rounds: int = 5,
     if fun < v_best:
         u = u_best + tangent @ x
         u_best = u / np.linalg.norm(u)
-        v_best = fun
     return lift(point(u_best)), height(u_best)

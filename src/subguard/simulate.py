@@ -152,9 +152,15 @@ def _chord_capture(prev, cur, eps: float):
         d0 = prev[k] - prev[2]
         d1 = cur[k] - cur[2]
         e = d1 - d0
-        a = float(e @ e)
+        a, dd, eps_k = float(e @ e), float(d0 @ d0), eps
+        if not sys.float_info.min <= a * dd < math.inf:
+            # the discriminant's terms are products of two squares; a power
+            # of two brings them into range and moves no root
+            p = int(np.frexp(np.max(np.abs(d0)))[1])
+            d0, e, eps_k = np.ldexp(d0, -p), np.ldexp(e, -p), math.ldexp(eps, -p)
+            a, dd = float(e @ e), float(d0 @ d0)
         b = 2.0 * float(d0 @ e)
-        c = float(d0 @ d0) - eps * eps
+        c = dd - eps_k * eps_k
         s = math.inf
         if c <= 0.0:
             s = 0.0

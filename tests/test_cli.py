@@ -305,6 +305,20 @@ class TestVerify:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "NumericalDegeneracyError"
 
+    def test_squared_heights_past_the_float_range_exit_3(self, write_doc):
+        # gaps of 1.5e150 square to normal floats, heights of 1e160 do not;
+        # in a fresh process a numpy warning would print its own stderr lines
+        path = write_doc(scenario_doc(d1=(-1.5e150, 0.0, 1e160), d2=(1.5e150, 0.0, 1e160),
+                                      x_a=(0.0, 0.0, 1e160 + 3e150)))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(subguard.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "subguard.cli", "verify", "--scenario", path],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        error = json.loads(proc.stderr)
+        assert error["error"] == "NumericalDegeneracyError"
+        assert "squared player offsets" in error["message"]
+
     @pytest.mark.parametrize("scale", [1e-13, 1e13])
     def test_agrees_at_any_scale(self, capsys, write_doc, scale):
         # the oracle's margin and the value threshold are fractions of the

@@ -1,6 +1,7 @@
 """Brute-force search oracles: direct checks and cross-validation."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -335,6 +336,61 @@ def reference_single_dists(points, defender, attacker):
     return dd, da
 
 
+def reference_nelder_mead(f, x0):
+    """The polish as first written, on numpy arrays: scipy's Nelder-Mead
+    (maxiter 200, xatol 1e-13, fatol 1e-15) operation for operation."""
+    def value(x):
+        fx = f(np.copy(x))
+        return fx if np.isscalar(fx) else np.asarray(fx).item()
+
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.shape[0]
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        sim[k + 1] = x0
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([value(x) for x in sim], dtype=float)
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+
+    iterations = 1
+    while iterations < 200:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-13
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-15):
+            break
+        xbar = sim[:-1].sum(axis=0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = value(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = value(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = value(xc)
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = value(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = value(sim[j])
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], float(np.min(fsim))
+
+
 def assert_same_bits(got, want):
     got, want = np.asarray(got, dtype=float).ravel(), np.asarray(want, dtype=float).ravel()
     nan = np.isnan(want)
@@ -418,7 +474,7 @@ class TestNelderMead:
     def assert_same_bits(self, minimize, f, x0):
         res = minimize(f, x0, method="Nelder-Mead",
                        options={"maxiter": 200, "xatol": 1e-13, "fatol": 1e-15})
-        x, fun = oracle_module._nelder_mead(f, x0)
+        x, fun = oracle_module._nelder_mead(lambda x: f(np.array(x)), x0)
         assert x.tobytes() == np.asarray(res.x, dtype=float).tobytes()
         assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
         return res
@@ -453,6 +509,79 @@ class TestNelderMead:
         assert len(polish) == 1
         self.assert_same_bits(scipy_minimize, *polish[0])
 
+    def test_staircase_ties_all_four_vertices(self, monkeypatch):
+        # 3 axes make 4 vertices, where numpy's argsort need not be stable;
+        # the first simplex already ties at 12 on every vertex
+        def staircase(x):
+            return float(np.floor(4.0 * np.abs(x).sum()))
+        x0 = np.array([1.0, 1.0, 1.0])
+        ties, argsort = [], np.argsort
+
+        def spy(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.shape == (4,):
+                ties.append(len(set(a.tolist())))
+            return argsort(a, *args, **kwargs)
+        monkeypatch.setattr(np, "argsort", spy)
+        x, fun = oracle_module._nelder_mead(lambda x: staircase(np.array(x)), x0)
+        monkeypatch.undo()
+        assert 1 in ties
+        want_x, want_fun = reference_nelder_mead(staircase, x0)
+        assert x.tobytes() == want_x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(want_fun).tobytes()
+
+    @pytest.mark.parametrize("search", ["kind", "seam"])
+    def test_objective_gets_fresh_float_lists(self, monkeypatch, search):
+        # a numpy array reaching the objective would bring back the small
+        # numpy calls the polish was rid of
+        s = rand_two_effective(np.random.default_rng(29), want_zero=False, n=4)
+        seen, original = [], oracle_module._nelder_mead
+
+        def spy(f, x0):
+            def watched(x):
+                seen.append(x)
+                return f(x)
+            return original(watched, x0)
+        monkeypatch.setattr(oracle_module, "_nelder_mead", spy)
+        (oracle_kind if search == "kind" else oracle_otp_dws)(s)
+        assert len(seen) > 4 and len({id(x) for x in seen}) == len(seen)
+        assert all(type(x) is list and all(type(c) is float for c in x) for x in seen)
+
+
+@st.composite
+def polish_problems(draw):
+    """A 1-3-D objective on numpy arrays and a start: a quadratic, a
+    staircase (ties and shrink steps) or a quadratic with a NaN region."""
+    d = draw(st.integers(1, 3))
+    coords = st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=d, max_size=d)
+    center, x0 = np.array(draw(coords)), np.array(draw(coords))
+    weights = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d)))
+    kind = draw(st.sampled_from(["quadratic", "staircase", "nan"]))
+    if kind == "staircase":
+        steps = draw(st.sampled_from([1.0, 4.0, 16.0]))
+        return (lambda x: float(np.floor(steps * np.abs(x - center).sum()))), x0
+    cut = draw(st.floats(-1.0, 1.0))
+
+    def f(x):
+        if kind == "nan" and x[0] > center[0] + cut:
+            return math.nan
+        return float(np.sum(weights * (x - center) ** 2))
+    return f, x0
+
+
+class TestPlainFloatPolish:
+    """The plain-float polish gives the bytes of the numpy one it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(polish_problems())
+    def test_same_bits_as_the_array_polish(self, problem):
+        f, x0 = problem
+        x, fun = oracle_module._nelder_mead(lambda x: f(np.array(x)), x0)
+        want_x, want_fun = reference_nelder_mead(f, x0)
+        assert type(x) is np.ndarray and type(fun) is float
+        assert x.tobytes() == want_x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(want_fun).tobytes()
+
 
 class TestNullSpace:
     def assert_null_basis(self, a, nullity):
@@ -477,14 +606,30 @@ class TestNullSpace:
         self.assert_null_basis(np.stack([row, -2.5 * row]), d - 1)
 
 
+HIGH_HEIGHTS = canonical_scenario(3, (-1e150, 0.0, 1e160), (1e150, 0.0, 1e160),
+                                  (0.0, 0.0, 1e160 + 3e150), 0.5)
+
+
 def test_no_finite_grid_value_is_named():
     # the players' gaps square to normal floats, but their heights do not,
-    # so no grid value of the kind oracle is finite
-    s = canonical_scenario(3, (-1e150, 0.0, 1e160), (1e150, 0.0, 1e160),
-                           (0.0, 0.0, 1e160 + 3e150), 0.5)
+    # so no grid value of the kind objective is finite; the oracles' own
+    # guard stops such a state before any grid (next test)
+    s = HIGH_HEIGHTS
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalDegeneracyError, match="no grid point"):
-            oracle_kind(s)
+            oracle_module._grid_maximize(lambda dd, da: s.alpha * dd - da,
+                                         (s.x_d1, s.x_d2), s.x_a, s.alpha, None)
+
+
+@pytest.mark.parametrize("oracle", [
+    oracle_kind, oracle_aws_target, oracle_min_boundary_height, oracle_otp_dws,
+    pytest.param(lambda s: oracle_otp_1v1(s.x_a, s.x_d1, s.alpha), id="oracle_otp_1v1")])
+def test_squared_heights_past_the_float_range_are_named(oracle):
+    # heights of 1e160 square past the float range, though every gap between
+    # the players squares to a normal float: the gaps to the attacker's foot
+    # point name it, where the seam oracles returned NaN
+    with pytest.raises(NumericalDegeneracyError, match="squared player offsets"):
+        oracle(HIGH_HEIGHTS)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e200])

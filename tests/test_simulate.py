@@ -184,6 +184,16 @@ class TestOptimalPlay:
         assert traj.captured_by == 2
         assert traj.capture_height == pytest.approx(scale * REF_VALUE, rel=1e-3)
 
+    @pytest.mark.parametrize("scale", [1e-154, 1e-100, 1e150])
+    def test_euler_capture_time_is_scale_free(self, scale):
+        # the chord capture multiplies two squared offsets, which leave the
+        # float range at these scales; a power of two moves no root
+        def t_event(k):
+            s = moved(ref_scenario(REF_XA_DWS), scale=k)
+            return simulate(s, optimal_policies(s).triple, dt=1e-3 * k, t_max=10.0 * k,
+                            record=True).t_event / k
+        assert t_event(scale) == pytest.approx(t_event(1.0), rel=1e-12)
+
     def test_barrier_start_grazes_plane(self, ref_barrier):
         bundle = optimal_policies(ref_barrier)
         traj = simulate(ref_barrier, bundle.triple, dt=1e-4, t_max=10.0, record=False)
